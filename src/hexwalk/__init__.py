@@ -21,6 +21,7 @@ from .evolution import (
     distribution,
     evolve,
     initial_wavefunction,
+    origin_amplitudes,
     return_series,
     step,
 )
@@ -33,7 +34,6 @@ from .lattice import (
 )
 from .limits import (
     AsymptoticOriginAmplitude,
-    QuadratureConfig,
     QuadratureError,
     a_theta,
     asymptotic_amplitude,
@@ -67,6 +67,7 @@ __all__ = [
     "distribution",
     "evolve",
     "initial_wavefunction",
+    "origin_amplitudes",
     "return_series",
     "step",
     "PhysicalPoint",
@@ -75,7 +76,6 @@ __all__ = [
     "support_parity_ok",
     "to_physical",
     "AsymptoticOriginAmplitude",
-    "QuadratureConfig",
     "QuadratureError",
     "a_theta",
     "asymptotic_amplitude",

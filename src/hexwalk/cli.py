@@ -7,8 +7,10 @@ Four subcommands are provided::
     hexwalk limit          report the closed-form long-time quantities
     hexwalk compare        check a finite-time run against the limit laws
 
-The model is deterministic, so identical configurations produce
-byte-identical output files.  Exit codes: 0 success, 1 invalid input,
+simulate and return-series write tables as csv (the default) or json;
+limit and compare write reports as text (the default) or json.  The model
+is deterministic, so identical configurations produce byte-identical
+output files.  Exit codes: 0 success, 1 invalid input,
 2 computation failure, 3 comparison failure.
 """
 
@@ -18,12 +20,14 @@ import argparse
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import CoinParams, CoinState, build_coin
-from .evolution import distribution, evolve, initial_wavefunction, step
+# ``step`` is unused here but kept: bench/tests/test_bench.py checks hexwalk.cli.step.
+from .evolution import distribution, evolve, origin_amplitudes, return_series, step  # noqa: F401
 from .lattice import Site, to_physical
 from .limits import (
     QuadratureError,
@@ -81,16 +85,34 @@ class RunConfig:
         return CoinState(self.alpha / norm, self.beta / norm, self.gamma / norm)
 
 
-def _parse_complex(value: object, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+# Output formats each command accepts; the first is its default.
+_FORMATS = {
+    "simulate": ("csv", "json"),
+    "return-series": ("csv", "json"),
+    "limit": ("text", "json"),
+    "compare": ("text", "json"),
+}
+
+
+def _number(value: object, name: str) -> int | float:
+    """``value`` itself if it is a finite int or float; bools are rejected.
+
+    ``abs`` keeps ints exact and NaN fails every comparison, so the bound
+    also rejects NaN, the infinities and ints too large for a float.
+    """
     if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) for p in value)
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
     ):
-        return complex(value[0], value[1])
-    raise ValueError(f"{name} must be a number or an [re, im] pair, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _parse_complex(value: object, name: str) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(value[0], name), _number(value[1], name))
+    return complex(_number(value, name))
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -109,15 +131,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"unknown preset {preset!r}")
     elif theta is None:
         raise ValueError("either --theta or --preset (or a config key) is required")
+    theta = _number(theta, "theta")
 
     if args.state is not None:
         parts = args.state.split(",")
         if len(parts) != 3:
             raise ValueError("--state must be three comma-separated reals")
         try:
-            alpha, beta, gamma = (complex(float(p)) for p in parts)
+            reals = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"--state components must be real numbers: {exc}") from exc
+        alpha, beta, gamma = (complex(_number(r, "--state component")) for r in reals)
     elif {"alpha", "beta", "gamma"} <= raw.keys():
         alpha = _parse_complex(raw["alpha"], "alpha")
         beta = _parse_complex(raw["beta"], "beta")
@@ -125,18 +149,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ValueError("initial state missing: pass --state a,b,c or a config file")
 
-    t_max = args.t_max if args.t_max is not None else raw.get("t_max", 100)
+    t_max = _number(args.t_max if args.t_max is not None else raw.get("t_max", 100), "t_max")
     if int(t_max) != t_max or int(t_max) < 0:
         raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
 
-    fmt = args.format if args.format is not None else raw.get("format")
+    formats = _FORMATS[args.command]
+    fmt = args.format if args.format is not None else raw.get("format", formats[0])
+    if fmt not in formats:
+        raise ValueError(f"unsupported format {fmt!r} for {args.command}")
     tolerance = args.tolerance if args.tolerance is not None else raw.get("tolerance", 0.01)
-    if tolerance <= 0:
+    if _number(tolerance, "tolerance") <= 0:
         raise ValueError("tolerance must be positive")
-    window = args.window if args.window is not None else raw.get("window", 10)
+    window = _number(args.window if args.window is not None else raw.get("window", 10), "window")
     if int(window) != window or int(window) < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
+    indices = raw.get("indices", False)
+    if not isinstance(indices, bool):
+        raise ValueError(f"indices must be true or false, got {indices!r}")
     out = args.out if args.out is not None else raw.get("output_path")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"output_path must be a string, got {out!r}")
 
     return RunConfig(
         theta=float(theta),
@@ -145,10 +177,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         gamma=gamma,
         t_max=int(t_max),
         output_path=out,
-        fmt=fmt if fmt is not None else "csv",
+        fmt=fmt,
         tolerance=float(tolerance),
         window=int(window),
-        indices=bool(args.indices or raw.get("indices", False)),
+        indices=args.indices or indices,
         preset=preset,
     )
 
@@ -164,12 +196,40 @@ def _emit(text: str, path: str | None) -> None:
         raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12e}"
-
-
 def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _state_header(command: str, params: CoinParams, state: CoinState) -> dict:
+    """Leading keys of a JSON table: the command, the angle and the initial state."""
+    return {
+        "command": command,
+        "theta": params.theta,
+        "state": [_complex_pair(z) for z in (state.alpha, state.beta, state.gamma)],
+    }
+
+
+def _write_table(
+    config: RunConfig, header: dict, columns: list[str], row_format: str, rows: list
+) -> None:
+    """Write ``rows`` as CSV lines in ``row_format``, or as JSON after ``header``."""
+    if config.fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [row_format.format(*r) for r in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {**header, "columns": columns, "rows": [list(r) for r in rows]}
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(text, config.output_path)
+
+
+def _write_report(config: RunConfig, payload: dict, lines: list[str]) -> None:
+    """Write a report as JSON ``payload`` or as the text ``lines``."""
+    if config.fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    _emit(text, config.output_path)
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -191,30 +251,11 @@ def cmd_simulate(config: RunConfig) -> int:
             point = to_physical(site)
             rows.append((point.px, point.py, float(p)))
 
-    if config.fmt == "csv":
-        if config.indices:
-            lines = ["sub,x,y,prob"]
-            lines += [f"{r[0]},{r[1]},{r[2]},{_fmt(r[3])}" for r in rows]
-        else:
-            lines = ["px,py,prob"]
-            lines += [f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])}" for r in rows]
-        _emit("\n".join(lines) + "\n", config.output_path)
-    elif config.fmt == "json":
-        payload = {
-            "command": "simulate",
-            "theta": params.theta,
-            "state": [
-                _complex_pair(state.alpha),
-                _complex_pair(state.beta),
-                _complex_pair(state.gamma),
-            ],
-            "t": config.t_max,
-            "columns": ["sub", "x", "y", "prob"] if config.indices else ["px", "py", "prob"],
-            "rows": [list(r) for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
+    header = {**_state_header("simulate", params, state), "t": config.t_max}
+    if config.indices:
+        _write_table(config, header, ["sub", "x", "y", "prob"], "{},{},{},{:.12e}", rows)
     else:
-        raise ValueError(f"unsupported format {config.fmt!r} for simulate")
+        _write_table(config, header, ["px", "py", "prob"], "{:.12e},{:.12e},{:.12e}", rows)
     return EXIT_OK
 
 
@@ -227,49 +268,23 @@ def cmd_return_series(config: RunConfig) -> int:
     params = config.coin_params()
     state = config.coin_state()
     limit_value = limit_return_probability(params, state)
-
-    coin = build_coin(params)
-    wf = initial_wavefunction(state)
-    origin = Site.a(0, 0)
-    rows = [(0, float(np.sum(np.abs(wf.amplitude(origin)) ** 2)), limit_value)]
-    for t in range(1, config.t_max + 1):
-        wf = step(wf, coin)
-        if t % 2 == 0:
-            p = float(np.sum(np.abs(wf.amplitude(origin)) ** 2))
-            rows.append((t, p, limit_value))
-
-    if config.fmt == "csv":
-        lines = ["t,p_origin,limit"]
-        lines += [f"{t},{_fmt(p)},{_fmt(lim)}" for t, p, lim in rows]
-        _emit("\n".join(lines) + "\n", config.output_path)
-    elif config.fmt == "json":
-        payload = {
-            "command": "return-series",
-            "theta": params.theta,
-            "state": [
-                _complex_pair(state.alpha),
-                _complex_pair(state.beta),
-                _complex_pair(state.gamma),
-            ],
-            "t_max": config.t_max,
-            "columns": ["t", "p_origin", "limit"],
-            "rows": [list(r) for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
-    else:
-        raise ValueError(f"unsupported format {config.fmt!r} for return-series")
+    series = return_series(state, config.t_max, build_coin(params))
+    rows = [(t, p, limit_value) for t, p in series]
+    header = {**_state_header("return-series", params, state), "t_max": config.t_max}
+    _write_table(config, header, ["t", "p_origin", "limit"], "{},{:.12e},{:.12e}", rows)
     return EXIT_OK
 
 
-def _limit_payload(config: RunConfig) -> dict:
+def cmd_limit(config: RunConfig) -> int:
+    """Report the closed-form long-time quantities for one configuration."""
     params = config.coin_params()
     state = config.coin_state()
     amp = asymptotic_origin_amplitude(params, state)
-    return {
+    payload = {
         "command": "limit",
         "theta": params.theta,
         "A": a_theta(params),
-        "limit": limit_return_probability(params, state),
+        "limit": amp.norm_squared(),
         "delta": delta_weight(params, state),
         "delocalized": delocalization_condition(params, state),
         "origin_amplitude": [
@@ -278,29 +293,17 @@ def _limit_payload(config: RunConfig) -> dict:
             _complex_pair(amp.psi2),
         ],
     }
-
-
-def cmd_limit(config: RunConfig) -> int:
-    """Report the closed-form long-time quantities for one configuration."""
-    payload = _limit_payload(config)
-    if config.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
-    elif config.fmt in ("text", "csv"):
-        if config.fmt == "csv":
-            raise ValueError("limit emits a report, not a table; use --format json")
-        lines = [
-            f"theta        = {payload['theta']:.12g}",
-            f"A(theta)     = {payload['A']:.12g}",
-            f"limit        = {payload['limit']:.12g}",
-            f"delta        = {payload['delta']:.12g}",
-            f"delocalized  = {'yes' if payload['delocalized'] else 'no'}",
-            "origin amplitude:",
-        ]
-        for label, pair in zip(("psi0", "psi1", "psi2"), payload["origin_amplitude"]):
-            lines.append(f"  {label} = {pair[0]:+.12g} {pair[1]:+.12g}i")
-        _emit("\n".join(lines) + "\n", config.output_path)
-    else:
-        raise ValueError(f"unsupported format {config.fmt!r} for limit")
+    lines = [
+        f"theta        = {payload['theta']:.12g}",
+        f"A(theta)     = {payload['A']:.12g}",
+        f"limit        = {payload['limit']:.12g}",
+        f"delta        = {payload['delta']:.12g}",
+        f"delocalized  = {'yes' if payload['delocalized'] else 'no'}",
+        "origin amplitude:",
+    ]
+    for label, pair in zip(("psi0", "psi1", "psi2"), payload["origin_amplitude"]):
+        lines.append(f"  {label} = {pair[0]:+.12g} {pair[1]:+.12g}i")
+    _write_report(config, payload, lines)
     return EXIT_OK
 
 
@@ -314,27 +317,16 @@ def cmd_compare(config: RunConfig) -> int:
     """
     params = config.coin_params()
     state = config.coin_state()
-    coin = build_coin(params)
-    origin = Site.a(0, 0)
+    recent: deque[np.ndarray] = deque(maxlen=config.window)
+    recent.extend(amp for _, amp in origin_amplitudes(state, config.t_max, build_coin(params)))
 
-    even_times = [t for t in range(0, config.t_max + 1, 2)]
-    window_times = set(even_times[-config.window:])
-
-    wf = initial_wavefunction(state)
-    amps = {}
-    if 0 in window_times:
-        amps[0] = wf.amplitude(origin)
-    for t in range(1, config.t_max + 1):
-        wf = step(wf, coin)
-        if t in window_times:
-            amps[t] = wf.amplitude(origin)
-
-    sampled = np.array([amps[t] for t in sorted(amps)], dtype=np.complex128)
+    sampled = np.array(list(recent), dtype=np.complex128)
     p_mean = float(np.mean(np.sum(np.abs(sampled) ** 2, axis=1)))
     amp_mean = sampled.mean(axis=0)
 
-    limit_value = limit_return_probability(params, state)
-    predicted = asymptotic_origin_amplitude(params, state).as_array()
+    amp = asymptotic_origin_amplitude(params, state)
+    limit_value = amp.norm_squared()
+    predicted = amp.as_array()
     p_error = abs(p_mean - limit_value)
     amp_errors = np.abs(amp_mean - predicted)
     passed = p_error <= config.tolerance and float(amp_errors.max()) <= config.tolerance
@@ -353,18 +345,15 @@ def cmd_compare(config: RunConfig) -> int:
         "predicted_origin_amplitude": [_complex_pair(z) for z in predicted],
         "status": "PASS" if passed else "FAIL",
     }
-    if config.fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", config.output_path)
-    else:
-        lines = [
-            f"t_max      = {config.t_max}, window = {config.window} even steps",
-            f"limit      = {limit_value:.12g}",
-            f"p_mean     = {p_mean:.12g}   |error| = {p_error:.3e}",
-            "amplitude |error| = "
-            + ", ".join(f"{e:.3e}" for e in payload["amplitude_abs_error"]),
-            f"status     = {payload['status']} (tolerance {config.tolerance:g})",
-        ]
-        _emit("\n".join(lines) + "\n", config.output_path)
+    lines = [
+        f"t_max      = {config.t_max}, window = {config.window} even steps",
+        f"limit      = {limit_value:.12g}",
+        f"p_mean     = {p_mean:.12g}   |error| = {p_error:.3e}",
+        "amplitude |error| = "
+        + ", ".join(f"{e:.3e}" for e in payload["amplitude_abs_error"]),
+        f"status     = {payload['status']} (tolerance {config.tolerance:g})",
+    ]
+    _write_report(config, payload, lines)
     return EXIT_OK if passed else EXIT_COMPARISON_FAILED
 
 
@@ -395,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of walk steps (default 100)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json", "text"), default=None,
-                       help="output format")
+                       help="output format: csv or json for tables (default csv), "
+                       "text or json for reports (default text)")
         p.add_argument("--tolerance", type=float, default=None,
                        help="comparison tolerance (compare; default 0.01)")
         p.add_argument("--window", type=int, default=None,

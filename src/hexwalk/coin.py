@@ -11,7 +11,7 @@ there the coin degenerates and the walk is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class CoinParams:
     """Coin mixing angle with its cosine and sine fixed at construction.
 
     ``c`` and ``s`` are stored (not recomputed by consumers) so that every
-    module works from bit-identical values.  The angle is reduced into
-    [0, 2*pi); values within 1e-12 of 0 or pi are rejected.
+    module works from bit-identical values.  The angle must be finite and
+    is reduced into [0, 2*pi); values within 1e-12 of 0 or pi are rejected.
 
     Parameters
     ----------
@@ -50,18 +50,22 @@ class CoinParams:
     """
 
     theta: float
-    c: float = field(default=math.nan)
-    s: float = field(default=math.nan)
+    c: float | None = None
+    s: float | None = None
 
     def __post_init__(self) -> None:
-        theta = float(self.theta) % _TWO_PI
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        theta %= _TWO_PI
         if min(theta, abs(theta - math.pi), _TWO_PI - theta) < _DEGENERATE_TOL:
             raise ValueError(
                 f"theta={self.theta!r} is degenerate: angles 0 and pi are not admitted"
             )
-        c = math.cos(theta) if math.isnan(self.c) else float(self.c)
-        s = math.sin(theta) if math.isnan(self.s) else float(self.s)
-        if abs(c - math.cos(theta)) > 1e-12 or abs(s - math.sin(theta)) > 1e-12:
+        c = math.cos(theta) if self.c is None else float(self.c)
+        s = math.sin(theta) if self.s is None else float(self.s)
+        # Written so that a NaN override fails the check.
+        if not (abs(c - math.cos(theta)) <= 1e-12 and abs(s - math.sin(theta)) <= 1e-12):
             raise ValueError("explicit c/s are inconsistent with theta")
         if abs(c * c + s * s - 1.0) > 1e-12:
             raise ValueError("c**2 + s**2 must equal 1")
@@ -77,7 +81,7 @@ class CoinParams:
 
 @dataclass(frozen=True)
 class CoinState:
-    """Qutrit amplitude triple (alpha, beta, gamma), unit norm within 1e-12."""
+    """Qutrit amplitude triple (alpha, beta, gamma): finite, unit norm within 1e-12."""
 
     alpha: complex
     beta: complex
@@ -88,8 +92,10 @@ class CoinState:
         beta = complex(self.beta)
         gamma = complex(self.gamma)
         norm_sq = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"coin state must be normalized, |state|^2 = {norm_sq!r}")
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > 1e-12:
+            raise ValueError(
+                f"coin state must be finite and normalized, |state|^2 = {norm_sq!r}"
+            )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)

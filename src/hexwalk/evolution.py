@@ -16,6 +16,7 @@ same data is available through :attr:`WaveFunction.amplitudes`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,7 @@ __all__ = [
     "step",
     "evolve",
     "distribution",
+    "origin_amplitudes",
     "return_series",
 ]
 
@@ -52,6 +54,16 @@ def _decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = (keys + _KEY_HALF) % _KEY_BASE - _KEY_HALF
     x = (keys - y) // _KEY_BASE
     return x, y
+
+
+def _row(sublattice: Sublattice, xy: np.ndarray, site: Site) -> int | None:
+    """Index of ``site`` in the canonically sorted ``xy`` rows, or None."""
+    if site.sub != sublattice:
+        return None
+    key = np.int64(site.x) * _KEY_BASE + np.int64(site.y)
+    keys = _encode(xy[:, 0], xy[:, 1])
+    i = int(np.searchsorted(keys, key))
+    return i if i < keys.size and keys[i] == key else None
 
 
 @dataclass(frozen=True)
@@ -91,13 +103,10 @@ class WaveFunction:
 
     def amplitude(self, site: Site) -> np.ndarray:
         """Amplitude triple at ``site`` (zeros if unoccupied)."""
-        if site.sub == self.sublattice:
-            key = np.int64(site.x) * _KEY_BASE + np.int64(site.y)
-            keys = _encode(self.xy[:, 0], self.xy[:, 1])
-            i = int(np.searchsorted(keys, key))
-            if i < keys.size and keys[i] == key:
-                return self.values[i].copy()
-        return np.zeros(3, dtype=np.complex128)
+        i = _row(self.sublattice, self.xy, site)
+        if i is None:
+            return np.zeros(3, dtype=np.complex128)
+        return self.values[i].copy()
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
@@ -131,13 +140,8 @@ class Distribution:
         }
 
     def probability(self, site: Site) -> float:
-        if site.sub == self.sublattice:
-            key = np.int64(site.x) * _KEY_BASE + np.int64(site.y)
-            keys = _encode(self.xy[:, 0], self.xy[:, 1])
-            i = int(np.searchsorted(keys, key))
-            if i < keys.size and keys[i] == key:
-                return float(self.values[i])
-        return 0.0
+        i = _row(self.sublattice, self.xy, site)
+        return 0.0 if i is None else float(self.values[i])
 
     def total(self) -> float:
         return float(np.sum(self.values))
@@ -150,24 +154,13 @@ def initial_wavefunction(state: CoinState) -> WaveFunction:
     return WaveFunction("A", xy, values, 0)
 
 
-def step(wf: WaveFunction, coin: CoinMatrix, prune_tol: float = 0.0) -> WaveFunction:
+def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  The total norm is preserved up
-    to the rounding of the coin multiply (well below 1e-12 per step).
-
-    Parameters
-    ----------
-    wf : WaveFunction
-        State to advance.
-    coin : CoinMatrix
-        Coin to apply.
-    prune_tol : float, optional
-        If positive, drop result sites whose squared amplitude norm is
-        below this threshold.  Pruning leaks at most
-        ``n_sites * prune_tol`` of total probability; the default keeps
-        every scattered site.
+    neighbour along coin direction ``j``.  Every scattered site is kept, so
+    the total norm is preserved up to the rounding of the coin multiply
+    (well below 1e-12 per step).
     """
     mixed = wf.values @ coin.entries.T
     keys = _encode(wf.xy[:, 0], wf.xy[:, 1])
@@ -177,26 +170,18 @@ def step(wf: WaveFunction, coin: CoinMatrix, prune_tol: float = 0.0) -> WaveFunc
     values = np.zeros((merged.size, 3), dtype=np.complex128)
     for j, cloud in enumerate(clouds):
         values[np.searchsorted(merged, cloud), j] = mixed[:, j]
-    if prune_tol > 0.0:
-        keep = np.einsum("ij,ij->i", values.real, values.real) \
-            + np.einsum("ij,ij->i", values.imag, values.imag) >= prune_tol
-        if not keep.all():
-            merged = merged[keep]
-            values = values[keep]
     x, y = _decode(merged)
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
     return WaveFunction(out_sub, np.column_stack([x, y]), values, wf.t + 1)
 
 
-def evolve(
-    state: CoinState, t: int, coin: CoinMatrix, prune_tol: float = 0.0
-) -> WaveFunction:
+def evolve(state: CoinState, t: int, coin: CoinMatrix) -> WaveFunction:
     """Run ``t`` steps from the origin with the given initial coin state."""
     if t < 0:
         raise ValueError("step count must be non-negative")
     wf = initial_wavefunction(state)
     for _ in range(t):
-        wf = step(wf, coin, prune_tol=prune_tol)
+        wf = step(wf, coin)
     return wf
 
 
@@ -207,22 +192,35 @@ def distribution(wf: WaveFunction) -> Distribution:
     return Distribution(wf.sublattice, wf.xy, probs, wf.t)
 
 
+def origin_amplitudes(
+    state: CoinState, t_max: int, coin: CoinMatrix
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(t, amplitude triple at the origin)`` for t = 0, 2, ... up to ``t_max``.
+
+    One evolution pass produces the whole stream.  Odd times are skipped:
+    the origin sits on the A-sublattice, which carries no amplitude there.
+    ``t_max`` is checked when the first item is requested.
+    """
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
+    origin = Site.a(0, 0)
+    wf = initial_wavefunction(state)
+    yield 0, wf.amplitude(origin)
+    for t in range(1, t_max + 1):
+        wf = step(wf, coin)
+        if t % 2 == 0:
+            yield t, wf.amplitude(origin)
+
+
 def return_series(
     state: CoinState, t_max: int, coin: CoinMatrix
 ) -> list[tuple[int, float]]:
     """Probability of observing the walker back at the origin at even times.
 
     Returns ``(2t, probability)`` pairs for 2t = 0, 2, ... up to ``t_max``,
-    computed in a single evolution pass.  Odd times are omitted: the origin
-    sits on the A-sublattice, which carries no amplitude there.
+    computed in a single evolution pass.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
-    wf = initial_wavefunction(state)
-    series = [(0, float(np.sum(np.abs(wf.amplitude(Site.a(0, 0))) ** 2)))]
-    for t in range(1, t_max + 1):
-        wf = step(wf, coin)
-        if t % 2 == 0:
-            amp = wf.amplitude(Site.a(0, 0))
-            series.append((t, float(np.sum(np.abs(amp) ** 2))))
-    return series
+    return [
+        (t, float(np.sum(np.abs(amp) ** 2)))
+        for t, amp in origin_amplitudes(state, t_max, coin)
+    ]

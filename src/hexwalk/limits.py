@@ -37,7 +37,6 @@ from scipy import integrate
 from .coin import CoinParams, CoinState
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
     "AsymptoticOriginAmplitude",
     "a_theta",
@@ -51,29 +50,16 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
+# Tolerances and subdivision budget of the g-difference quadrature.  The
+# smooth difference integrands need far fewer than 200 subdivisions; any
+# budget from the hundreds up to 2**15 gives the same values.
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 200
+
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature cannot reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision budget for the g-difference quadrature.
-
-    ``max_subdivisions`` defaults to 200, which is far beyond what the
-    smooth difference integrands need; anything in the hundreds-to-2**15
-    range behaves identically on valid inputs.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -114,18 +100,12 @@ def _origin_coefficients(params: CoinParams) -> tuple[float, float, float, float
 def limit_return_probability(params: CoinParams, state: CoinState) -> float:
     """Long-time limit of the probability of observing the walker at the origin.
 
-    Evaluates the three squared moduli of the limiting origin amplitude
-    and sums them; the result lies in [0, 1].  It is zero exactly for the
-    delocalizing initial states (see :func:`delocalization_condition`) and
-    equals 1/6 for the Grover coin started in the pure middle coin state.
+    The squared norm of :func:`asymptotic_origin_amplitude`; it lies in
+    [0, 1].  It is zero exactly for the delocalizing initial states (see
+    :func:`delocalization_condition`) and equals 1/6 for the Grover coin
+    started in the pure middle coin state.
     """
-    al, be, ga = state.alpha, state.beta, state.gamma
-    c, s = params.c, params.s
-    k_diag, k_beta, k_cross, k_mid = _origin_coefficients(params)
-    p0 = abs(k_diag * al - k_beta * be + k_cross * ga) ** 2
-    p1 = abs(k_mid * (s * al - _SQRT2 * (1.0 - c) * be + s * ga)) ** 2
-    p2 = abs(k_cross * al - k_beta * be + k_diag * ga) ** 2
-    return p0 + p1 + p2
+    return asymptotic_origin_amplitude(params, state).norm_squared()
 
 
 def asymptotic_origin_amplitude(
@@ -178,18 +158,12 @@ def _difference_integrand(
     return num / (math.pi * root)
 
 
-def g_difference(
-    x: int,
-    y: int,
-    x1: int,
-    y1: int,
-    params: CoinParams,
-    q: QuadratureConfig | None = None,
-) -> float:
+def g_difference(x: int, y: int, x1: int, y1: int, params: CoinParams) -> float:
     """The convergent Green-integral difference G(x, y, x1, y1).
 
     Adaptive quadrature of the pointwise difference of the two reduced
-    integrands over b in (0, pi), converged to the configured tolerances.
+    integrands over b in (0, pi), converged to a relative tolerance of
+    1e-10 and an absolute tolerance of 1e-12.
     The shift must satisfy ``(x1 + y1) % 2 == 0``: for odd shifts the two
     endpoint poles have unequal residues and the difference integral
     itself diverges (no such shift ever arises in the amplitude formulas).
@@ -209,16 +183,14 @@ def g_difference(
         )
     if x1 == 0 and y1 == 0:
         return 0.0
-    if q is None:
-        q = QuadratureConfig()
     out = integrate.quad(
         _difference_integrand,
         0.0,
         math.pi,
         args=(x, y, x - x1, y - y1, params.c, params.s),
-        epsabs=q.abs_tol,
-        epsrel=q.rel_tol,
-        limit=q.max_subdivisions,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     if len(out) > 3:
@@ -237,11 +209,7 @@ def _w_mixed(z1: complex, z2: complex, c: float, s: float) -> complex:
 
 
 def asymptotic_amplitude(
-    x: int,
-    y: int,
-    params: CoinParams,
-    state: CoinState,
-    q: QuadratureConfig | None = None,
+    x: int, y: int, params: CoinParams, state: CoinState
 ) -> np.ndarray:
     """Long-time amplitude triple at the A-site (x, y).
 
@@ -261,7 +229,7 @@ def asymptotic_amplitude(
     w_gb = _w_mixed(ga, be, c, s)
 
     def g_diff(gx: int, gy: int, sx: int, sy: int) -> float:
-        return g_difference(gx, gy, sx, sy, params, q)
+        return g_difference(gx, gy, sx, sy, params)
 
     comp0 = -(s / 2.0) * (
         w_ag * g_diff(x, y, 1, -1)
@@ -315,16 +283,13 @@ def delta_weight(params: CoinParams, state: CoinState) -> float:
     delocalizing family and dominates the origin-site limit for every
     state.
     """
-    c, s = params.c, params.s
-    big_a = a_theta(params)
     al, be, ga = state.alpha, state.beta, state.gamma
-    k_diag = 0.5 - big_a / math.pi
+    k_diag, k_beta, k_cross, _ = _origin_coefficients(params)
+    # 2*A/pi stays as written: 1 - 2*k_diag rounds differently.
     value = (
         k_diag * (abs(al) ** 2 + abs(ga) ** 2)
-        + (2.0 * big_a / math.pi) * abs(be) ** 2
-        - (2.0 * _SQRT2 * s * big_a / (math.pi * (1.0 - c)))
-        * ((al + ga) * be.conjugate()).real
-        + (2.0 * (3.0 + c) * big_a / (math.pi * (1.0 - c)) - 1.0)
-        * (al * ga.conjugate()).real
+        + (2.0 * a_theta(params) / math.pi) * abs(be) ** 2
+        - (2.0 * k_beta) * ((al + ga) * be.conjugate()).real
+        + (2.0 * k_cross) * (al * ga.conjugate()).real
     )
     return float(value)

@@ -43,10 +43,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# Above this many step pairs, grid transforms switch from repeated matrix
-# application to batched eigendecomposition.
-_POWER_LOOP_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class Momentum:
@@ -87,15 +83,16 @@ def r_matrix(m: Momentum) -> np.ndarray:
     return np.diag(_r_diag(m.a, m.b))
 
 
-def _r_diag(a: float, b: float) -> np.ndarray:
-    return np.array(
-        [np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], dtype=np.complex128
-    )
+def _r_diag(a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:
+    return np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=-1)
 
 
-def _two_step_matrix(a: float, b: float, coin: CoinMatrix) -> np.ndarray:
-    fwd = _r_diag(a, b)[:, None] * coin.entries
-    back = _r_diag(-a, -b)[:, None] * coin.entries
+def _two_step_matrix(
+    a: float | np.ndarray, b: float | np.ndarray, coin: CoinMatrix
+) -> np.ndarray:
+    """U2 at each momentum: scalars give one 3x3 matrix, arrays a stack of them."""
+    fwd = _r_diag(a, b)[..., :, None] * coin.entries
+    back = _r_diag(-a, -b)[..., :, None] * coin.entries
     return back @ fwd
 
 
@@ -157,20 +154,19 @@ def fourier_evolve(
 ) -> np.ndarray:
     """Momentum amplitude after ``t`` step pairs: U2(a, b)^t applied to the state.
 
-    The power is taken through the spectral decomposition with pure phase
-    exponentiation, so the norm is preserved to machine precision for any
-    ``t`` (including e.g. 10**6 pairs).
+    The power is taken through the eigenpairs of :func:`two_step_operator`
+    with pure phase exponentiation, so the norm is preserved to machine
+    precision for any ``t`` (including e.g. 10**6 pairs).
     """
     if t < 0:
         raise ValueError("step-pair count must be non-negative")
     v = state.as_array()
     if t == 0:
         return v
-    matrix = _two_step_matrix(m.a, m.b, coin)
-    tri, vecs = scipy.linalg.schur(matrix, output="complex")
-    phases = np.angle(np.diag(tri))
+    op = two_step_operator(m, coin)
+    vecs = op.eigenvectors
     coeff = vecs.conj().T @ v
-    return vecs @ (np.exp(1j * phases * t) * coeff)
+    return vecs @ (np.exp(1j * np.array(op.eigenphases) * t) * coeff)
 
 
 def inverse_transform_site(
@@ -203,23 +199,10 @@ def inverse_transform_site(
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
     a = aa.ravel()
     b = bb.ravel()
-
-    fwd = np.empty((a.size, 3), dtype=np.complex128)
-    fwd[:, 0] = np.exp(-1j * b)
-    fwd[:, 1] = np.exp(1j * a)
-    fwd[:, 2] = np.exp(1j * b)
-    u2 = (fwd.conj()[:, :, None] * coin.entries) @ (fwd[:, :, None] * coin.entries)
-
+    u2 = _two_step_matrix(a, b, coin)
     psi = np.broadcast_to(state.as_array(), (a.size, 3))
-    if t <= _POWER_LOOP_LIMIT:
-        for _ in range(t):
-            psi = np.einsum("nij,nj->ni", u2, psi)
-    else:
-        lam, vecs = np.linalg.eig(u2)
-        coeff = np.linalg.solve(vecs, np.ascontiguousarray(psi))
-        psi = np.einsum(
-            "nij,nj->ni", vecs, np.exp(1j * np.angle(lam) * t) * coeff
-        )
+    for _ in range(t):
+        psi = np.einsum("nij,nj->ni", u2, psi)
 
     phase = np.exp(1j * (a * x + b * y))
     return (phase[:, None] * psi).sum(axis=0) / a.size

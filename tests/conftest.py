@@ -5,8 +5,6 @@ import pytest
 
 from hexwalk import CoinParams, CoinState, build_coin
 
-import _report
-
 
 def random_theta(rng: np.random.Generator, margin: float = 0.05) -> float:
     """A coin angle sampled uniformly, bounded away from the degenerate angles."""
@@ -31,9 +29,3 @@ def grover_params():
 def grover_coin(grover_params):
     return build_coin(grover_params)
 
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _report.lines:
-        terminalreporter.write_sep("-", "acceptance criteria")
-        for line in _report.lines:
-            terminalreporter.write_line(line)

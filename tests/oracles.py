@@ -4,7 +4,8 @@ Nothing here shares code with the library's computational paths: the
 stepper is a plain dict scatter driven by the public neighbour map, graph
 distances come from BFS, and the Green-integral oracle is a regularized
 two-dimensional Riemann sum (the library integrates a reduced
-one-dimensional form instead).
+one-dimensional form instead), and the flat band of the two-step momentum
+operator is a null vector found by cross products, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -109,3 +110,24 @@ def g_difference_oracle(cases, c: float, s: float, start_n: int = 1024,
         prev = cur
         n *= 2
     raise AssertionError(f"grid oracle did not converge by n = {max_n}")
+
+
+def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:
+    """Unit flat-band vectors of U2 on the n x n midpoint grid of [-pi, pi)^2.
+
+    U2(a, b) = R(-a, -b) C R(a, b) C is built from its definition, and the
+    eigenvalue-1 vector is the null vector of U2 - I: the cross product of
+    two of its rows, taking the pair with the largest product so that
+    nearly parallel rows near the zone centre are avoided.
+    """
+    k = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+    a, b = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
+    r = np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=1)
+    u2 = np.einsum("ni,ij,nj,jk->nik", r.conj(), coin_entries, r, coin_entries)
+    m = u2 - np.eye(3)
+    crosses = np.stack(
+        [np.cross(m[:, 0], m[:, 1]), np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 0], m[:, 2])],
+        axis=1,
+    )
+    best = crosses[np.arange(a.size), np.linalg.norm(crosses, axis=2).argmax(axis=1)]
+    return best / np.linalg.norm(best, axis=1, keepdims=True)

@@ -1,0 +1,115 @@
+"""Tests of the command-line interface: golden output and input validation.
+
+Each golden case runs ``hexwalk.cli.main`` in-process and compares its stdout,
+stderr and exit code with the files under ``tests/golden/``: the CLI
+promises byte-identical output for identical configurations, so any
+difference is a behaviour change.  After an intended change, regenerate
+the files with ``PYTHONPATH=src python tests/test_cli.py`` and
+review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hexwalk.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Complex [re, im] amplitudes and an odd t_max, so simulate writes B rows.
+_COMPLEX = ["--config", str(GOLDEN / "complex_state.json")]
+_GROVER_BETA = ["--preset", "grover", "--state", "0,1,0"]
+_COMPARE = ["compare", *_GROVER_BETA, "--t-max", "80"]
+
+# name -> (argv, expected exit code)
+CASES: dict[str, tuple[list[str], int]] = {
+    "simulate_csv": (["simulate", *_COMPLEX], 0),
+    "simulate_csv_indices": (["simulate", *_COMPLEX, "--indices"], 0),
+    "simulate_json": (["simulate", *_COMPLEX, "--format", "json"], 0),
+    "simulate_json_indices": (["simulate", *_COMPLEX, "--format", "json", "--indices"], 0),
+    "simulate_text_rejected": (["simulate", *_COMPLEX, "--format", "text"], 1),
+    "return_series_csv": (
+        ["return-series", "--theta", "1.1", "--state", "0.6,0,0.8", "--t-max", "40"], 0
+    ),
+    "return_series_json": (
+        ["return-series", "--theta", "1.1", "--state", "0.6,0,0.8", "--t-max", "40",
+         "--format", "json"], 0
+    ),
+    "limit_default": (["limit", *_GROVER_BETA], 0),
+    "limit_text": (["limit", *_COMPLEX, "--format", "text"], 0),
+    "limit_json": (["limit", *_COMPLEX, "--format", "json"], 0),
+    "compare_pass_text": ([*_COMPARE, "--tolerance", "0.05"], 0),
+    "compare_fail_text": ([*_COMPARE, "--tolerance", "1e-4", "--format", "text"], 3),
+    "compare_pass_json": ([*_COMPARE, "--tolerance", "0.05", "--format", "json"], 0),
+    "compare_fail_json": ([*_COMPARE, "--tolerance", "1e-4", "--format", "json"], 3),
+    "compare_csv_rejected": ([*_COMPARE, "--format", "csv"], 1),
+}
+
+
+def run_cli(argv: list[str]) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def _read(path: Path) -> str:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    argv, expected_code = CASES[name]
+    out, err, code = run_cli(argv)
+    assert code == expected_code
+    assert err == _read(GOLDEN / f"{name}.stderr")
+    assert out == _read(GOLDEN / f"{name}.stdout")
+
+
+_BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--theta", "nan", "--state", "0,1,0", "--format", "json"],
+    ["limit", "--theta", "inf", "--state", "0,1,0", "--format", "json"],
+    ["simulate", "--theta", "1.0", "--state", "nan,0,0", "--t-max", "2"],
+    ["compare", *_GROVER_BETA, "--t-max", "4", "--tolerance", "nan"],
+], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan"])
+def test_non_finite_arguments_rejected(argv):
+    out, err, code = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, override", [
+    ("compare", {"tolerance": "0.1"}),
+    ("simulate", {"theta": [1.0]}),
+    ("simulate", {"t_max": float("inf")}),
+    ("simulate", {"t_max": True}),
+    ("simulate", {"indices": "no"}),
+    ("simulate", {"alpha": [float("nan"), 0.0]}),
+    ("simulate", {"alpha": True, "beta": 0.0}),
+    ("simulate", {"output_path": 1}),
+], ids=["tolerance-string", "theta-list", "t_max-infinity", "t_max-bool",
+        "indices-string", "alpha-nan", "alpha-bool", "output_path-int"])
+def test_badly_typed_config_values_rejected(tmp_path, command, override):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_BASE_CONFIG, **override}), encoding="utf-8")
+    out, err, code = run_cli([command, "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+if __name__ == "__main__":
+    for name, (argv, _) in sorted(CASES.items()):
+        out, err, code = run_cli(argv)
+        for suffix, text in (("stdout", out), ("stderr", err)):
+            with open(GOLDEN / f"{name}.{suffix}", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        print(f"{name}: exit {code}")

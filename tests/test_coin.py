@@ -35,6 +35,14 @@ class TestCoinParams:
         with pytest.raises(ValueError):
             CoinParams(theta)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"theta": math.nan}, {"theta": math.inf}, {"theta": -math.inf},
+        {"theta": 1.0, "c": math.nan}, {"theta": 1.0, "s": math.nan},
+    ], ids=["theta-nan", "theta-inf", "theta-minus-inf", "c-nan", "s-nan"])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CoinParams(**kwargs)
+
     def test_angle_reduced_modulo_two_pi(self):
         p = CoinParams(2 * math.pi + 0.5)
         assert abs(p.theta - 0.5) < 1e-12
@@ -48,6 +56,13 @@ class TestCoinState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             CoinState(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError):
+            CoinState(bad, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            CoinState.normalized(bad, 1.0, 0.0)
 
     def test_normalized_constructor(self):
         s = CoinState.normalized(1, 1, 1)

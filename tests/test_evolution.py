@@ -92,12 +92,6 @@ class TestStep:
         assert np.array_equal(a.xy, b.xy)
         assert np.array_equal(a.values, b.values)
 
-    def test_prune_drops_only_negligible_mass(self, grover_coin):
-        exact = evolve(BETA_STATE, 30, grover_coin)
-        pruned = evolve(BETA_STATE, 30, grover_coin, prune_tol=1e-30)
-        assert len(pruned) <= len(exact)
-        assert abs(pruned.norm_squared() - 1.0) < len(exact) * 1e-30 + 1e-12
-
     def test_values_read_only(self, grover_coin):
         wf = evolve(BETA_STATE, 4, grover_coin)
         with pytest.raises(ValueError):

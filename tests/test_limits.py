@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexwalk.limits
 from hexwalk import (
     CoinParams,
     CoinState,
-    QuadratureConfig,
     QuadratureError,
     a_theta,
     asymptotic_amplitude,
     asymptotic_origin_amplitude,
+    build_coin,
     delocalization_condition,
     delta_weight,
     g_difference,
@@ -20,7 +21,7 @@ from hexwalk import (
 )
 
 from conftest import random_state, random_theta
-from oracles import g_difference_oracle_table
+from oracles import flat_band_vectors, g_difference_oracle_table
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
 
@@ -146,16 +147,10 @@ class TestGDifference:
         for case in cases:
             assert abs(g_difference(*case, grover_params) - oracle[case]) < 1e-6
 
-    def test_subdivision_budget_enforced(self, grover_params):
-        config = QuadratureConfig(max_subdivisions=1)
+    def test_subdivision_budget_enforced(self, grover_params, monkeypatch):
+        monkeypatch.setattr(hexwalk.limits, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureError):
-            g_difference(0, 24, 0, 2, grover_params, config)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+            g_difference(0, 24, 0, 2, grover_params)
 
 
 class TestAsymptoticAmplitude:
@@ -224,3 +219,18 @@ class TestDeltaWeight:
             delta = delta_weight(params, state)
             assert -1e-12 <= delta <= 1.0 + 1e-12
             assert delta >= limit_return_probability(params, state) - 1e-12
+
+
+class TestFlatBandProjection:
+    """The origin laws against the zone mean of the flat-band projector of U2."""
+
+    @pytest.mark.parametrize("theta", [0.5, 1.3, 2.2, 4.0, 5.5])
+    def test_origin_laws_match_projector_mean(self, theta):
+        params = CoinParams(theta)
+        state = random_state(np.random.default_rng(int(10 * theta)))
+        v = flat_band_vectors(build_coin(params).entries, 256)
+        overlap = v.conj() @ state.as_array()
+        projected = (v * overlap[:, None]).mean(axis=0)
+        closed = asymptotic_origin_amplitude(params, state).as_array()
+        np.testing.assert_allclose(projected, closed, rtol=0, atol=5e-5)
+        assert abs(np.mean(np.abs(overlap) ** 2) - delta_weight(params, state)) < 5e-5
