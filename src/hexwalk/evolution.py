@@ -3,15 +3,16 @@
 One step applies the coin matrix at every occupied site and then scatters
 coin component ``j`` of each site to its neighbour along direction ``j``.
 Because a walk started at the origin always occupies a single sublattice,
-the step alternates between the two scatter tables: A-sites feed B-sites
+the step alternates between the two rows of ``HOPS``: A-sites feed B-sites
 at even times and vice versa.
 
-Wave functions are sparse: amplitudes are held as parallel arrays of
-integer site indices (in canonical (sublattice, x, y) order) and complex
-triples.  The scatter is collision-free -- each (site, component) pair of
-the next step receives exactly one contribution -- so sums are exactly
-reproducible run to run regardless of traversal order.  A dict view of the
-same data is available through :attr:`WaveFunction.amplitudes`.
+Wave functions are sparse: parallel arrays of integer site indices, rows
+sorted by (x, y), and complex amplitude triples.  A step merges the three
+scattered clouds in an integer window one site wider than the support, so
+its rows come out sorted.  The scatter is collision-free -- each (site,
+component) pair receives exactly one contribution -- so values are copied,
+never summed, and are reproducible bit for bit.  A dict view of the same
+data is available through :attr:`WaveFunction.amplitudes`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .coin import CoinMatrix, CoinState
-from .lattice import Site, Sublattice
+from .lattice import HOPS, Site, Sublattice
 
 __all__ = [
     "WaveFunction",
@@ -36,34 +37,15 @@ __all__ = [
     "return_series",
 ]
 
-# Site keys are packed as x * KEY_BASE + y, which sorts like (x, y) as
-# long as |y| < KEY_BASE / 2; this caps walks at ~2 million steps.
-_KEY_BASE = np.int64(1) << np.int64(22)
-_KEY_HALF = _KEY_BASE >> np.int64(1)
-
-# Packed-key offsets of the three scatter targets, per starting sublattice.
-_OFFSETS_FROM_A = (np.int64(1), -_KEY_BASE, np.int64(-1))
-_OFFSETS_FROM_B = (np.int64(-1), _KEY_BASE, np.int64(1))
-
-
-def _encode(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x.astype(np.int64) * _KEY_BASE + y.astype(np.int64)
-
-
-def _decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = (keys + _KEY_HALF) % _KEY_BASE - _KEY_HALF
-    x = (keys - y) // _KEY_BASE
-    return x, y
-
-
 def _row(sublattice: Sublattice, xy: np.ndarray, site: Site) -> int | None:
     """Index of ``site`` in the canonically sorted ``xy`` rows, or None."""
     if site.sub != sublattice:
         return None
-    key = np.int64(site.x) * _KEY_BASE + np.int64(site.y)
-    keys = _encode(xy[:, 0], xy[:, 1])
-    i = int(np.searchsorted(keys, key))
-    return i if i < keys.size and keys[i] == key else None
+    xs = xy[:, 0]
+    lo = int(np.searchsorted(xs, site.x, side="left"))
+    hi = int(np.searchsorted(xs, site.x, side="right"))
+    i = lo + int(np.searchsorted(xy[lo:hi, 1], site.y))
+    return i if i < hi and xy[i, 0] == site.x and xy[i, 1] == site.y else None
 
 
 @dataclass(frozen=True)
@@ -158,21 +140,25 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  Every scattered site is kept, so
-    the total norm is preserved up to the rounding of the coin multiply
-    (well below 1e-12 per step).
+    neighbour along coin direction ``j``.  The targets are marked in an
+    integer window one site wider than the support; ``np.argwhere`` reads
+    the marked cells back in canonical order, and numbering them in place
+    makes the window the row lookup for the copy.  The total norm is kept
+    up to the rounding of the coin multiply (well below 1e-12 per step).
     """
     mixed = wf.values @ coin.entries.T
-    keys = _encode(wf.xy[:, 0], wf.xy[:, 1])
-    offsets = _OFFSETS_FROM_A if wf.sublattice == "A" else _OFFSETS_FROM_B
-    clouds = [keys + off for off in offsets]
-    merged = np.unique(np.concatenate(clouds))
-    values = np.zeros((merged.size, 3), dtype=np.complex128)
-    for j, cloud in enumerate(clouds):
-        values[np.searchsorted(merged, cloud), j] = mixed[:, j]
-    x, y = _decode(merged)
+    lo = wf.xy.min(axis=0) - 1
+    targets = [tuple((wf.xy + hop - lo).T) for hop in HOPS[wf.sublattice]]
+    window = np.zeros(wf.xy.max(axis=0) - lo + 2, dtype=np.int64)
+    for target in targets:
+        window[target] = 1
+    xy = np.argwhere(window)
+    window[tuple(xy.T)] = np.arange(len(xy))
+    values = np.zeros((len(xy), 3), dtype=np.complex128)
+    for j, target in enumerate(targets):
+        values[window[target], j] = mixed[:, j]
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
-    return WaveFunction(out_sub, np.column_stack([x, y]), values, wf.t + 1)
+    return WaveFunction(out_sub, xy + lo, values, wf.t + 1)
 
 
 def evolve(state: CoinState, t: int, coin: CoinMatrix) -> WaveFunction:

@@ -30,11 +30,10 @@ Sublattice = Literal["A", "B"]
 
 SQRT3_HALF = sqrt(3.0) / 2.0
 
-# Neighbour displacements (dx, dy) per coin index 0, 1, 2.  The x-step
-# direction depends on the starting sublattice; applying the same coin
-# index twice returns to the starting site.
-_SHIFT_FROM_A = ((0, 1), (-1, 0), (0, -1))
-_SHIFT_FROM_B = ((0, -1), (1, 0), (0, 1))
+# Neighbour displacements (dx, dy) per starting sublattice and coin index
+# 0, 1, 2.  The x-step direction depends on the sublattice; applying the
+# same coin index twice returns to the starting site.
+HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
 
 
 @dataclass(frozen=True, order=True)
@@ -99,11 +98,8 @@ def shift_target(site: Site, coin_index: int) -> Site:
     """
     if coin_index not in (0, 1, 2):
         raise ValueError(f"coin_index must be 0, 1 or 2, got {coin_index!r}")
-    if site.sub == "A":
-        dx, dy = _SHIFT_FROM_A[coin_index]
-        return Site("B", site.x + dx, site.y + dy)
-    dx, dy = _SHIFT_FROM_B[coin_index]
-    return Site("A", site.x + dx, site.y + dy)
+    dx, dy = HOPS[site.sub][coin_index]
+    return Site("B" if site.sub == "A" else "A", site.x + dx, site.y + dy)
 
 
 def support_parity_ok(site: Site, t: int) -> bool:

@@ -122,7 +122,7 @@ def asymptotic_origin_amplitude(
     k_diag, k_beta, k_cross, k_mid = _origin_coefficients(params)
     return AsymptoticOriginAmplitude(
         psi0=k_diag * al - k_beta * be + k_cross * ga,
-        psi1=-k_mid * (s * al - _SQRT2 * (1.0 - c) * be + s * ga),
+        psi1=k_mid * (_SQRT2 * (1.0 - c) * be - s * al - s * ga),
         psi2=k_cross * al - k_beta * be + k_diag * ga,
     )
 

@@ -7,12 +7,14 @@ from hexwalk import (
     CoinParams,
     CoinState,
     Site,
+    WaveFunction,
     apply_coin,
     build_coin,
     distribution,
     evolve,
     initial_wavefunction,
     return_series,
+    shift_target,
     step,
     support_parity_ok,
 )
@@ -75,16 +77,46 @@ class TestStep:
         assert abs(wf.norm_squared() - 1.0) < 1e-10
 
     def test_matches_reference_stepper(self, grover_coin):
+        # every lookup in a box past the light cone, on both sublattices:
+        # sites the reference lacks (missing x, missing y, wrong sublattice,
+        # just outside the merge window) must read as exact zeros
         rng = np.random.default_rng(5)
         for _ in range(3):
             params = CoinParams(random_theta(rng))
             coin = build_coin(params)
             state = random_state(rng)
-            wf = evolve(state, 9, coin)
-            ref = reference_evolve(state.as_array(), 9, coin.entries)
-            assert set(wf.amplitudes) == set(ref)
-            for site, amp in ref.items():
-                np.testing.assert_allclose(wf.amplitude(site), amp, atol=1e-12)
+            wf = initial_wavefunction(state)
+            for t in range(10):
+                if t:
+                    wf = step(wf, coin)
+                ref = reference_evolve(state.as_array(), t, coin.entries)
+                assert set(wf.amplitudes) == set(ref)
+                nx, ny = t // 2 + 2, t + 2
+                box = [
+                    Site(sub, x, y)
+                    for sub in ("A", "B")
+                    for x in range(-nx, nx + 1)
+                    for y in range(-ny, ny + 1)
+                ]
+                assert set(ref) <= set(box)
+                for site in box:
+                    if site in ref:
+                        np.testing.assert_allclose(wf.amplitude(site), ref[site], atol=1e-12)
+                    else:
+                        np.testing.assert_array_equal(wf.amplitude(site), np.zeros(3))
+
+    @pytest.mark.parametrize("x, y", [(0, 3_000_000), (-5, -2_097_152), (10**6, -2_097_153)])
+    def test_far_sites_step_to_their_neighbours(self, grover_coin, x, y):
+        # |y| at and past 2**21 must step like any other site
+        values = np.array([1.0, 0.5j, -0.25])
+        wf = step(WaveFunction("A", [[x, y]], [values], 0), grover_coin)
+        targets = [shift_target(Site.a(x, y), j) for j in range(3)]
+        assert list(wf.amplitudes) == sorted(targets)
+        mixed = apply_coin(grover_coin, values)
+        for j, site in enumerate(targets):
+            expected = np.zeros(3, dtype=complex)
+            expected[j] = mixed[j]
+            np.testing.assert_allclose(wf.amplitude(site), expected, rtol=0, atol=1e-15)
 
     def test_bit_reproducible(self, grover_coin):
         a = evolve(CoinState.uniform(), 40, grover_coin)

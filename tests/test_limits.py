@@ -10,6 +10,7 @@ from hexwalk import (
     CoinParams,
     CoinState,
     QuadratureError,
+    Site,
     a_theta,
     asymptotic_amplitude,
     asymptotic_origin_amplitude,
@@ -17,7 +18,9 @@ from hexwalk import (
     delocalization_condition,
     delta_weight,
     g_difference,
+    initial_wavefunction,
     limit_return_probability,
+    step,
 )
 
 from conftest import random_state, random_theta
@@ -89,6 +92,14 @@ class TestOriginLimit:
         amp = asymptotic_origin_amplitude(params, state).as_array()
         amp_swapped = asymptotic_origin_amplitude(params, swapped).as_array()
         np.testing.assert_allclose(amp_swapped, amp[::-1], atol=1e-14)
+
+    @pytest.mark.parametrize("theta", [math.acos(-1 / 3), 0.4, 1.0, 2.5, 3.8, 5.0])
+    def test_no_negative_zero_for_real_basis_states(self, theta):
+        params = CoinParams(theta)
+        for basis in np.eye(3):
+            amp = asymptotic_origin_amplitude(params, CoinState(*basis)).as_array()
+            parts = amp.view(np.float64)
+            assert not np.any(np.signbit(parts) & (parts == 0.0)), amp
 
     def test_probability_is_squared_norm(self):
         rng = np.random.default_rng(5)
@@ -172,6 +183,29 @@ class TestAsymptoticAmplitude:
         up = asymptotic_amplitude(1, 1, grover_params, BETA_STATE)
         down = asymptotic_amplitude(1, -1, grover_params, BETA_STATE)
         np.testing.assert_allclose(up, down[::-1], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "theta, state",
+        [
+            (math.acos(-1 / 3), BETA_STATE),
+            (1.0, CoinState(0.6, 0.0, 0.8)),
+            (4.0, CoinState(0.48 + 0.6j, 0.64, 0.0)),
+        ],
+    )
+    def test_stepper_time_average_off_origin(self, theta, state):
+        # independent route: the exact walk averaged over its last 50 even
+        # times up to T = 200 settles on the flat-band projection
+        params = CoinParams(theta)
+        coin = build_coin(params)
+        sites = [(2, 0), (1, 1), (0, 2), (-1, -1)]
+        wf = initial_wavefunction(state)
+        total = np.zeros((len(sites), 3), dtype=complex)
+        for t in range(1, 201):
+            wf = step(wf, coin)
+            if t % 2 == 0 and t > 100:
+                total += [wf.amplitude(Site.a(x, y)) for x, y in sites]
+        limit = [asymptotic_amplitude(x, y, params, state) for x, y in sites]
+        np.testing.assert_allclose(total / 50, limit, rtol=0, atol=5e-4)
 
 
 class TestDelocalization:
