@@ -10,8 +10,8 @@ Four subcommands are provided::
 simulate and return-series write tables as csv (the default) or json;
 limit and compare write reports as text (the default) or json.  The model
 is deterministic, so identical configurations produce byte-identical
-output files.  Exit codes: 0 success, 1 invalid input,
-2 computation failure, 3 comparison failure.
+output files.  Exit codes: 0 success, 1 invalid input (one ``error:`` line,
+malformed command lines included), 2 computation failure, 3 comparison failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -57,32 +58,14 @@ EXIT_COMPARISON_FAILED = 3
 class RunConfig:
     """Fully resolved run parameters shared by all subcommands."""
 
-    theta: float
-    alpha: complex
-    beta: complex
-    gamma: complex
+    params: CoinParams
+    state: CoinState
     t_max: int
     output_path: str | None
     fmt: str
     tolerance: float = 0.01
     window: int = 10
     indices: bool = False
-    preset: str | None = None
-
-    def coin_params(self) -> CoinParams:
-        if self.preset == "grover":
-            return CoinParams.grover()
-        return CoinParams(self.theta)
-
-    def coin_state(self) -> CoinState:
-        norm = math.sqrt(
-            abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
-        )
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(
-                f"initial state must be normalized within 1e-9, |state| = {norm!r}"
-            )
-        return CoinState(self.alpha / norm, self.beta / norm, self.gamma / norm)
 
 
 # Output formats each command accepts; the first is its default.
@@ -123,8 +106,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must contain a JSON object")
 
-    preset = args.preset if args.preset is not None else raw.get("preset")
-    theta = args.theta if args.theta is not None else raw.get("theta")
+    def setting(name: str, default: object = None, key: str | None = None) -> object:
+        """The flag ``name``, else the config key ``key or name``, else ``default``."""
+        value = getattr(args, name)
+        return value if value is not None else raw.get(key or name, default)
+
+    preset = setting("preset")
+    theta = setting("theta")
     if preset == "grover":
         theta = CoinParams.grover().theta
     elif preset is not None:
@@ -149,39 +137,42 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ValueError("initial state missing: pass --state a,b,c or a config file")
 
-    t_max = _number(args.t_max if args.t_max is not None else raw.get("t_max", 100), "t_max")
+    t_max = _number(setting("t_max", 100), "t_max")
     if int(t_max) != t_max or int(t_max) < 0:
         raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
 
     formats = _FORMATS[args.command]
-    fmt = args.format if args.format is not None else raw.get("format", formats[0])
+    fmt = setting("format", formats[0])
     if fmt not in formats:
         raise ValueError(f"unsupported format {fmt!r} for {args.command}")
-    tolerance = args.tolerance if args.tolerance is not None else raw.get("tolerance", 0.01)
+    tolerance = setting("tolerance", 0.01)
     if _number(tolerance, "tolerance") <= 0:
         raise ValueError("tolerance must be positive")
-    window = _number(args.window if args.window is not None else raw.get("window", 10), "window")
+    window = _number(setting("window", 10), "window")
     if int(window) != window or int(window) < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
     indices = raw.get("indices", False)
     if not isinstance(indices, bool):
         raise ValueError(f"indices must be true or false, got {indices!r}")
-    out = args.out if args.out is not None else raw.get("output_path")
+    out = setting("out", key="output_path")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"output_path must be a string, got {out!r}")
 
+    # Built last, so that the checks above report their errors first.
+    params = CoinParams.grover() if preset == "grover" else CoinParams(float(theta))
+    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"initial state must be normalized within 1e-9, |state| = {norm!r}")
+
     return RunConfig(
-        theta=float(theta),
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
+        params=params,
+        state=CoinState.normalized(alpha, beta, gamma),
         t_max=int(t_max),
         output_path=out,
         fmt=fmt,
         tolerance=float(tolerance),
         window=int(window),
         indices=args.indices or indices,
-        preset=preset,
     )
 
 
@@ -238,8 +229,7 @@ def cmd_simulate(config: RunConfig) -> int:
     Rows carry (px, py, prob) sorted by (px, py); with ``indices`` enabled
     the columns are the integer site labels (sub, x, y, prob) instead.
     """
-    params = config.coin_params()
-    state = config.coin_state()
+    params, state = config.params, config.state
     dist = distribution(evolve(state, config.t_max, build_coin(params)))
 
     rows = []
@@ -265,8 +255,7 @@ def cmd_return_series(config: RunConfig) -> int:
     The limit column is the constant closed-form long-time value, repeated
     on every row so the file plots directly against the series.
     """
-    params = config.coin_params()
-    state = config.coin_state()
+    params, state = config.params, config.state
     limit_value = limit_return_probability(params, state)
     series = return_series(state, config.t_max, build_coin(params))
     rows = [(t, p, limit_value) for t, p in series]
@@ -277,8 +266,7 @@ def cmd_return_series(config: RunConfig) -> int:
 
 def cmd_limit(config: RunConfig) -> int:
     """Report the closed-form long-time quantities for one configuration."""
-    params = config.coin_params()
-    state = config.coin_state()
+    params, state = config.params, config.state
     amp = asymptotic_origin_amplitude(params, state)
     payload = {
         "command": "limit",
@@ -315,8 +303,7 @@ def cmd_compare(config: RunConfig) -> int:
     them with the long-time formulas.  PASS requires every reported
     absolute error to stay within the tolerance; FAIL exits with code 3.
     """
-    params = config.coin_params()
-    state = config.coin_state()
+    params, state = config.params, config.state
     recent: deque[np.ndarray] = deque(maxlen=config.window)
     recent.extend(amp for _, amp in origin_amplitudes(state, config.t_max, build_coin(params)))
 
@@ -357,8 +344,15 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_COMPARISON_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as ValueError instead of exiting with 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexwalk",
         description="Three-state quantum walk on the honeycomb lattice",
     )
@@ -404,16 +398,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    try:
         return _COMMANDS[args.command](config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (QuadratureError, FloatingPointError) as exc:

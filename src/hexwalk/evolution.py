@@ -48,13 +48,32 @@ def _row(sublattice: Sublattice, xy: np.ndarray, site: Site) -> int | None:
     return i if i < hi and xy[i, 0] == site.x and xy[i, 1] == site.y else None
 
 
+def _store_rows(table: WaveFunction | Distribution, dtype: type, row_shape: tuple) -> None:
+    """Check ``table.xy`` and ``table.values`` and store them as read-only arrays.
+
+    ``xy`` must be (n, 2), rows strictly increasing in (x, y) as ``_row``
+    searches them (one O(n) ``np.diff``), and ``values`` n rows of ``row_shape``.
+    """
+    xy = np.ascontiguousarray(table.xy, dtype=np.int64)
+    values = np.ascontiguousarray(table.values, dtype=dtype)
+    if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *row_shape):
+        raise ValueError(f"xy must be (n, 2) and values (n,) + {row_shape}")
+    d = np.diff(xy, axis=0)
+    if not np.all((d[:, 0] > 0) | ((d[:, 0] == 0) & (d[:, 1] > 0))):
+        raise ValueError("xy rows must be strictly increasing in (x, y)")
+    xy.setflags(write=False)
+    values.setflags(write=False)
+    object.__setattr__(table, "xy", xy)
+    object.__setattr__(table, "values", values)
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Sparse walker state at step ``t``.
 
     All occupied sites share one sublattice tag.  ``xy`` holds the integer
-    indices sorted in canonical order and ``values`` the matching complex
-    amplitude triples; both arrays are read-only.
+    indices, rows strictly increasing in (x, y), and ``values`` the matching
+    complex amplitude triples; both arrays are read-only.
     """
 
     sublattice: Sublattice
@@ -63,14 +82,7 @@ class WaveFunction:
     t: int
 
     def __post_init__(self) -> None:
-        xy = np.ascontiguousarray(self.xy, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], 3):
-            raise ValueError("xy must be (n, 2) and values (n, 3)")
-        xy.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "values", values)
+        _store_rows(self, np.complex128, (3,))
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -96,7 +108,7 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Per-site observation probabilities at step ``t``."""
+    """Per-site observation probabilities at step ``t``, rows as in :class:`WaveFunction`."""
 
     sublattice: Sublattice
     xy: np.ndarray
@@ -104,12 +116,7 @@ class Distribution:
     t: int
 
     def __post_init__(self) -> None:
-        xy = np.ascontiguousarray(self.xy, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        xy.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "values", values)
+        _store_rows(self, np.float64, ())
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -140,25 +147,28 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  The targets are marked in an
-    integer window one site wider than the support; ``np.argwhere`` reads
-    the marked cells back in canonical order, and numbering them in place
-    makes the window the row lookup for the copy.  The total norm is kept
-    up to the rounding of the coin multiply (well below 1e-12 per step).
+    neighbour along coin direction ``j``.  The targets are marked in a flat
+    integer window one site wider than the support; ``np.flatnonzero``
+    reads the marked cells back in canonical order, and numbering them in
+    place makes the window the row lookup for the copy.  The total norm is
+    kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
     mixed = wf.values @ coin.entries.T
     lo = wf.xy.min(axis=0) - 1
-    targets = [tuple((wf.xy + hop - lo).T) for hop in HOPS[wf.sublattice]]
-    window = np.zeros(wf.xy.max(axis=0) - lo + 2, dtype=np.int64)
+    nx, ny = (int(n) for n in wf.xy.max(axis=0) - lo + 2)
+    base = (wf.xy[:, 0] - lo[0]) * ny + (wf.xy[:, 1] - lo[1])
+    targets = [base + (dx * ny + dy) for dx, dy in HOPS[wf.sublattice]]
+    window = np.zeros(nx * ny, dtype=np.int64)
     for target in targets:
         window[target] = 1
-    xy = np.argwhere(window)
-    window[tuple(xy.T)] = np.arange(len(xy))
-    values = np.zeros((len(xy), 3), dtype=np.complex128)
+    cells = np.flatnonzero(window)
+    window[cells] = np.arange(len(cells))
+    values = np.zeros((len(cells), 3), dtype=np.complex128)
     for j, target in enumerate(targets):
         values[window[target], j] = mixed[:, j]
+    xy = np.stack(np.divmod(cells, ny), axis=1) + lo
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
-    return WaveFunction(out_sub, xy + lo, values, wf.t + 1)
+    return WaveFunction(out_sub, xy, values, wf.t + 1)
 
 
 def evolve(state: CoinState, t: int, coin: CoinMatrix) -> WaveFunction:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .coin import CoinParams, CoinState
 
@@ -183,6 +182,8 @@ def g_difference(x: int, y: int, x1: int, y1: int, params: CoinParams) -> float:
         )
     if x1 == 0 and y1 == 0:
         return 0.0
+    from scipy import integrate  # imported on first use: most CLI runs never need scipy
+
     out = integrate.quad(
         _difference_integrand,
         0.0,

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .coin import CoinMatrix, CoinParams, CoinState
 
@@ -107,6 +106,8 @@ def two_step_operator(m: Momentum, coin: CoinMatrix) -> TwoStepOperator:
     remaining two phases are sorted ascending, which realizes the
     (nu2, 2*pi - nu2) labeling away from degeneracies.
     """
+    import scipy.linalg  # imported on first use: most CLI runs never need scipy
+
     matrix = _two_step_matrix(m.a, m.b, coin)
     tri, vecs = scipy.linalg.schur(matrix, output="complex")
     lam = np.diag(tri)

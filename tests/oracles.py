@@ -91,27 +91,6 @@ def g_difference_oracle_table(cases, c: float, s: float, n: int, block: int = 51
     return values
 
 
-def g_difference_oracle(cases, c: float, s: float, start_n: int = 1024,
-                        max_n: int = 8192, tol: float = 1e-7):
-    """Refine the grid oracle until successive values settle below ``tol``.
-
-    Returns (values, n) for the first grid size whose results differ from
-    the previous refinement by less than ``tol`` everywhere.  Refuses to
-    return an unconverged table.
-    """
-    prev = None
-    n = start_n
-    while n <= max_n:
-        cur = g_difference_oracle_table(cases, c, s, n)
-        if prev is not None:
-            drift = max(abs(cur[k] - prev[k]) for k in cur)
-            if drift < tol:
-                return cur, n
-        prev = cur
-        n *= 2
-    raise AssertionError(f"grid oracle did not converge by n = {max_n}")
-
-
 def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:
     """Unit flat-band vectors of U2 on the n x n midpoint grid of [-pi, pi)^2.
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hexwalk
 from hexwalk.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,8 +84,12 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", "--theta", "inf", "--state", "0,1,0", "--format", "json"],
     ["simulate", "--theta", "1.0", "--state", "nan,0,0", "--t-max", "2"],
     ["compare", *_GROVER_BETA, "--t-max", "4", "--tolerance", "nan"],
-], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan"])
-def test_non_finite_arguments_rejected(argv):
+    ["simulate", *_GROVER_BETA, "--t-max", "abc"],
+    ["simulate", *_GROVER_BETA, "--format", "xml"],
+    ["bogus", *_GROVER_BETA],
+], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan",
+        "t_max-not-an-int", "format-unknown", "command-unknown"])
+def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -104,6 +112,22 @@ def test_badly_typed_config_values_rejected(tmp_path, command, override):
     out, err, code = run_cli([command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_runs_without_quadrature_do_not_import_scipy():
+    # A fresh interpreter, since this test process may already hold scipy.
+    code = (
+        "import contextlib, io, sys\n"
+        "from hexwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['limit', '--preset', 'grover', '--state', '0,1,0']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(hexwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import pytest
 from hexwalk import (
     CoinParams,
     CoinState,
+    Distribution,
     Site,
     WaveFunction,
     apply_coin,
@@ -187,6 +188,27 @@ class TestDistribution:
         assert peaked.probability(origin) == pytest.approx(peaked.values.max())
         assert spread.probability(origin) < 0.01
         assert spread.values.max() > spread.probability(origin)
+
+
+class TestSiteTables:
+    # Unsorted: A(0, 0) holds (0, 1, 0), but a binary search over these
+    # rows would report it as empty.  Repeated: one site with two rows.
+    @pytest.mark.parametrize("xy", [[[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [0, 1]]],
+                             ids=["unsorted-x", "repeated", "unsorted-y"])
+    def test_rows_must_strictly_increase(self, xy):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WaveFunction("A", xy, [[1, 0, 0], [0, 1, 0]], 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Distribution("A", xy, [0.5, 0.5], 0)
+
+    @pytest.mark.parametrize("xy, values", [
+        ([[0, 0, 0]], [1.0]),
+        ([[0, 0]], [0.5, 0.5]),
+        ([[0, 0]], [[1.0]]),
+    ], ids=["xy-three-columns", "values-longer", "values-2d"])
+    def test_distribution_shapes_checked(self, xy, values):
+        with pytest.raises(ValueError, match="must be"):
+            Distribution("A", xy, values, 0)
 
 
 class TestReturnSeries:
