@@ -108,6 +108,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     def setting(name: str, default: object = None, key: str | None = None) -> object:
         """The flag ``name``, else the config key ``key or name``, else ``default``."""
+        if name not in vars(args):  # unread by this command, whatever a shared config holds
+            return default
         value = getattr(args, name)
         return value if value is not None else raw.get(key or name, default)
 
@@ -151,7 +153,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     window = _number(setting("window", 10), "window")
     if int(window) != window or int(window) < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
-    indices = raw.get("indices", False)
+    indices = setting("indices", False)
     if not isinstance(indices, bool):
         raise ValueError(f"indices must be true or false, got {indices!r}")
     out = setting("out", key="output_path")
@@ -172,7 +174,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         fmt=fmt,
         tolerance=float(tolerance),
         window=int(window),
-        indices=args.indices or indices,
+        indices=indices,
     )
 
 
@@ -374,18 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="real initial coin amplitudes, comma separated",
         )
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--t-max", dest="t_max", type=int, default=None,
-                       help="number of walk steps (default 100)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json", "text"), default=None,
                        help="output format: csv or json for tables (default csv), "
                        "text or json for reports (default text)")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="comparison tolerance (compare; default 0.01)")
-        p.add_argument("--window", type=int, default=None,
-                       help="even-step averaging window (compare; default 10)")
-        p.add_argument("--indices", action="store_true",
-                       help="export integer site indices instead of coordinates")
+        # Only the flags this command reads, so that any other one is an error.
+        if name != "limit":
+            p.add_argument("--t-max", dest="t_max", type=int, default=None,
+                           help="number of walk steps (default 100)")
+        if name == "simulate":
+            p.add_argument("--indices", action="store_true", default=None,
+                           help="export integer site indices instead of coordinates")
+        if name == "compare":
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="comparison tolerance (default 0.01)")
+            p.add_argument("--window", type=int, default=None,
+                           help="even-step averaging window (default 10)")
     return parser
 
 

@@ -154,9 +154,11 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
     mixed = wf.values @ coin.entries.T
-    lo = wf.xy.min(axis=0) - 1
-    nx, ny = (int(n) for n in wf.xy.max(axis=0) - lo + 2)
-    base = (wf.xy[:, 0] - lo[0]) * ny + (wf.xy[:, 1] - lo[1])
+    xs, ys = wf.xy[:, 0], wf.xy[:, 1]
+    # Rows are sorted by (x, y) (``_store_rows`` checks it): x's bounds are the end rows.
+    lo = np.array([xs[0], ys.min()]) - 1
+    nx, ny = int(xs[-1] - lo[0]) + 2, int(ys.max() - lo[1]) + 2
+    base = (xs - lo[0]) * ny + (ys - lo[1])
     targets = [base + (dx * ny + dy) for dx, dy in HOPS[wf.sublattice]]
     window = np.zeros(nx * ny, dtype=np.int64)
     for target in targets:

@@ -2,17 +2,22 @@
 
 Nothing here shares code with the library's computational paths: the
 stepper is a plain dict scatter driven by the public neighbour map, graph
-distances come from BFS, and the Green-integral oracle is a regularized
-two-dimensional Riemann sum (the library integrates a reduced
-one-dimensional form instead), and the flat band of the two-step momentum
-operator is a null vector found by cross products, with no eigensolver.
+distances come from BFS, the Green-integral oracles are a regularized
+two-dimensional Riemann sum and adaptive quadrature (scipy's ``quad`` and
+mpmath's tanh-sinh) of the pointwise difference of two reduced integrands
+(the library integrates each site against an anchor on Gauss-Legendre
+nodes instead), and the flat band of the two-step momentum operator is a
+null vector found by cross products, with no eigensolver.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
+import mpmath
 import numpy as np
+from scipy import integrate
 
 from hexwalk import Site, shift_target
 
@@ -89,6 +94,53 @@ def g_difference_oracle_table(cases, c: float, s: float, n: int, block: int = 51
         v = table[yrow[y], xcol[x]] - table[yrow[y - y1], xcol[x - x1]]
         values[(x, y, x1, y1)] = float(np.real(v)) / n**2
     return values
+
+
+def _difference_integrand(b, x, y, xs, ys, c, s, lib=math):
+    """Integrand of g(x, y) - g(xs, ys) at b in (0, pi), in the module ``lib``.
+
+    Each site's reduced integrand is
+
+        cos(b |y|) z^{|x|} / (pi root),  root = (1-c) sin(b) sqrt((3+c)^2 - (1-c)^2 cos(b)^2),
+        z = 2 s^2 cos(b) / (2 s^2 + (1-c)^2 sin(b)^2 + root),
+
+    and its 1/b endpoint poles cancel in the difference of two sites whose
+    |x| + |y| have equal parity; the finite endpoint limits are
+    +-(|xs| - |x|) / (2 pi s^2).
+    """
+    sb = lib.sin(b)
+    if sb < 1e-14:
+        sign = 1.0 if b < 1.0 else (-1.0) ** (abs(x) + abs(y))
+        return sign * (abs(xs) - abs(x)) / (2.0 * lib.pi * s * s)
+    cb = lib.cos(b)
+    a0 = 2.0 * s * s + (1.0 - c) ** 2 * sb * sb
+    root = (1.0 - c) * sb * lib.sqrt((3.0 + c) ** 2 - (1.0 - c) ** 2 * cb * cb)
+    z = 2.0 * s * s * cb / (a0 + root)
+    num = lib.cos(b * abs(y)) * z ** abs(x) - lib.cos(b * abs(ys)) * z ** abs(xs)
+    return num / (lib.pi * root)
+
+
+def g_difference_quad(x: int, y: int, x1: int, y1: int, c: float, s: float) -> float:
+    """G(x, y, x1, y1) by ``scipy.integrate.quad`` of the difference integrand."""
+    value, _ = integrate.quad(
+        _difference_integrand, 0.0, math.pi, args=(x, y, x - x1, y - y1, c, s),
+        epsabs=1e-13, epsrel=1e-12, limit=500,
+    )
+    return value
+
+
+def g_difference_mp(x: int, y: int, x1: int, y1: int, c: float, s: float) -> float:
+    """G(x, y, x1, y1) by mpmath's tanh-sinh quadrature at 30 digits.
+
+    ``c`` and ``s`` are taken as exact binary values, as the library sees them.
+    """
+    with mpmath.workdps(30):
+        c, s = mpmath.mpf(c), mpmath.mpf(s)
+        value = mpmath.quad(
+            lambda b: _difference_integrand(b, x, y, x - x1, y - y1, c, s, lib=mpmath),
+            [0, mpmath.pi / 2, mpmath.pi],
+        )
+        return float(value)
 
 
 def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:

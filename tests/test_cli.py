@@ -87,8 +87,12 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["simulate", *_GROVER_BETA, "--t-max", "abc"],
     ["simulate", *_GROVER_BETA, "--format", "xml"],
     ["bogus", *_GROVER_BETA],
+    ["limit", *_GROVER_BETA, "--t-max", "5"],
+    ["limit", *_GROVER_BETA, "--indices"],
+    ["return-series", *_GROVER_BETA, "--window", "3"],
 ], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan",
-        "t_max-not-an-int", "format-unknown", "command-unknown"])
+        "t_max-not-an-int", "format-unknown", "command-unknown",
+        "limit-t_max", "limit-indices", "return-series-window"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
@@ -112,6 +116,16 @@ def test_badly_typed_config_values_rejected(tmp_path, command, override):
     out, err, code = run_cli([command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unread_config_keys_ignored(tmp_path):
+    # config files are shared between commands: limit reads neither key
+    plain, shared = tmp_path / "plain.json", tmp_path / "shared.json"
+    plain.write_text(json.dumps(_BASE_CONFIG), encoding="utf-8")
+    shared.write_text(json.dumps({**_BASE_CONFIG, "t_max": -1, "window": 0}), encoding="utf-8")
+    expected = run_cli(["limit", "--config", str(plain)])
+    assert expected[2] == 0
+    assert run_cli(["limit", "--config", str(shared)]) == expected
 
 
 def test_runs_without_quadrature_do_not_import_scipy():

@@ -24,9 +24,25 @@ from hexwalk import (
 )
 
 from conftest import random_state, random_theta
-from oracles import flat_band_vectors, g_difference_oracle_table
+from oracles import (
+    flat_band_vectors,
+    g_difference_mp,
+    g_difference_oracle_table,
+    g_difference_quad,
+)
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
+SHIFTS = [(1, -1), (-1, 1), (1, 1), (-1, -1), (0, 2), (0, -2)]
+
+
+def stratified_thetas(k: int, margin: float = 0.05) -> list[float]:
+    """Midpoints of ``k`` equal strata of the angles at least ``margin`` from 0 and pi."""
+    half = math.pi - 2.0 * margin
+    out = []
+    for i in range(k):
+        pos = (i + 0.5) * 2.0 * half / k
+        out.append(margin + pos if pos < half else math.pi + margin + pos - half)
+    return out
 
 
 def delocalizing_state(params: CoinParams, phase: complex = 1.0) -> CoinState:
@@ -158,8 +174,42 @@ class TestGDifference:
         for case in cases:
             assert abs(g_difference(*case, grover_params) - oracle[case]) < 1e-6
 
-    def test_subdivision_budget_enforced(self, grover_params, monkeypatch):
-        monkeypatch.setattr(hexwalk.limits, "_MAX_SUBDIVISIONS", 1)
+    @pytest.mark.parametrize("theta", stratified_thetas(12), ids="{:.3f}".format)
+    def test_table_matches_quad_oracle(self, theta):
+        params = CoinParams(theta)
+        rows = [(x, y, *shift) for x in range(-3, 4) for y in range(-3, 4)
+                if (x + y) % 2 == 0 for shift in SHIFTS]
+        table = hexwalk.limits._differences(np.array(rows), params)
+        oracle = np.array([g_difference_quad(*row, params.c, params.s) for row in rows])
+        assert np.all(np.abs(table - oracle) <= 1e-12 + 1e-10 * np.abs(oracle))
+
+    @pytest.mark.parametrize("theta, case", [
+        (0.3, (3, 1, 1, -1)),
+        (1.0, (5, -7, 1, 1)),
+        (math.acos(-1 / 3), (2, 4, -1, -1)),
+        (2.9, (0, 3, 1, -1)),
+        (4.0, (-4, 6, 0, -2)),
+        (5.9, (1, 1, -1, -1)),
+    ])
+    def test_matches_mpmath(self, theta, case):
+        params = CoinParams(theta)
+        reference = g_difference_mp(*case, params.c, params.s)
+        assert abs(g_difference(*case, params) - reference) < 1e-13
+
+    def test_near_degenerate_angle_right_or_raises(self):
+        # The boundary layer at b ~ |s| is 1e-4 wide here, and adaptive quad
+        # missed it (it returned -2.7e-13).  Reference: mpmath at 30 digits
+        # with breakpoints at |s| and 10|s| from both endpoints.
+        try:
+            value = g_difference(5, 7, 1, 1, CoinParams(math.pi - 1e-4))
+        except QuadratureError:
+            return
+        assert abs(value / -353.6776525197882 - 1.0) < 1e-9
+
+    def test_node_budget_enforced(self, grover_params, monkeypatch):
+        # the budget admits only the starting rule for |y| = 24, so the
+        # n-vs-2n certificate cannot be formed
+        monkeypatch.setattr(hexwalk.limits, "_MAX_NODES", 8 * 24 + 32)
         with pytest.raises(QuadratureError):
             g_difference(0, 24, 0, 2, grover_params)
 
@@ -206,6 +256,24 @@ class TestAsymptoticAmplitude:
                 total += [wf.amplitude(Site.a(x, y)) for x, y in sites]
         limit = [asymptotic_amplitude(x, y, params, state) for x, y in sites]
         np.testing.assert_allclose(total / 50, limit, rtol=0, atol=5e-4)
+
+    @pytest.mark.parametrize("theta, state", [
+        (math.acos(-1 / 3), BETA_STATE),
+        (1.0, CoinState(0.6, 0.0, 0.8)),
+    ])
+    def test_total_weight_approaches_delta(self, theta, state):
+        # the flat-band weight outside the box |x|, |y| <= R falls like 1/R^2
+        params = CoinParams(theta)
+        deficits = []
+        for radius in (7, 14):
+            amps = [asymptotic_amplitude(x, y, params, state)
+                    for x in range(-radius, radius + 1)
+                    for y in range(-radius, radius + 1) if (x + y) % 2 == 0]
+            weight = float(np.sum(np.abs(np.array(amps)) ** 2))
+            deficits.append(delta_weight(params, state) - weight)
+        assert deficits[0] > 0 and deficits[1] > 0
+        assert deficits[0] >= 3.5 * deficits[1]
+        assert deficits[1] < 6e-4
 
 
 class TestDelocalization:
