@@ -29,7 +29,7 @@ import numpy as np
 from .coin import CoinParams, CoinState, build_coin
 # ``step`` is unused here but kept: bench/tests/test_bench.py checks hexwalk.cli.step.
 from .evolution import distribution, evolve, origin_amplitudes, return_series, step  # noqa: F401
-from .lattice import Site, to_physical
+from .lattice import physical_coordinates
 from .limits import (
     QuadratureError,
     a_theta,
@@ -234,19 +234,16 @@ def cmd_simulate(config: RunConfig) -> int:
     params, state = config.params, config.state
     dist = distribution(evolve(state, config.t_max, build_coin(params)))
 
-    rows = []
-    for (x, y), p in zip(dist.xy, dist.values):
-        site = Site(dist.sublattice, int(x), int(y))
-        if config.indices:
-            rows.append((site.sub, int(x), int(y), float(p)))
-        else:
-            point = to_physical(site)
-            rows.append((point.px, point.py, float(p)))
-
     header = {**_state_header("simulate", params, state), "t": config.t_max}
+    # No column list or coordinate array outlives its zip, so the formatting
+    # peaks no higher in memory than with rows built one at a time.
+    x, y, probs = dist.xy[:, 0], dist.xy[:, 1], dist.values
     if config.indices:
+        rows = list(zip([dist.sublattice] * len(dist), x.tolist(), y.tolist(), probs.tolist()))
         _write_table(config, header, ["sub", "x", "y", "prob"], "{},{},{},{:.12e}", rows)
     else:
+        points = (c.tolist() for c in physical_coordinates(dist.sublattice, x, y))
+        rows = list(zip(*points, probs.tolist()))
         _write_table(config, header, ["px", "py", "prob"], "{:.12e},{:.12e},{:.12e}", rows)
     return EXIT_OK
 

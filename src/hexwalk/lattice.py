@@ -18,9 +18,12 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Literal
 
+import numpy as np
+
 __all__ = [
     "Site",
     "PhysicalPoint",
+    "physical_coordinates",
     "to_physical",
     "shift_target",
     "support_parity_ok",
@@ -34,6 +37,23 @@ SQRT3_HALF = sqrt(3.0) / 2.0
 # 0, 1, 2.  The x-step direction depends on the sublattice; applying the
 # same coin index twice returns to the starting site.
 HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
+
+
+def _hop_distance(sublattice: Sublattice, xy: np.ndarray) -> np.ndarray:
+    """Graph distance from A(0, 0) to each row of ``xy`` on ``sublattice``.
+
+    Two hops move an A-site by (0, +-2) or (+-1, +-1), so A(x, y) is
+    max(2|x|, |x| + |y|) hops away.  B(x, y) is one hop past the nearest of
+    its ``HOPS`` neighbours A(x, y - 1), A(x + 1, y) and A(x, y + 1); of the
+    two in column x, A(x, |y| - 1) is the nearer.  Exact on the sites a walk
+    from the origin can occupy: A-sites with x + y even, B-sites with x + y odd.
+    """
+    x, y = np.abs(xy[:, 0]), np.abs(xy[:, 1])
+    if sublattice == "A":
+        return np.maximum(2 * x, x + y)
+    x1 = np.abs(xy[:, 0] + 1)
+    column = np.maximum(2 * x, x + np.abs(y - 1))
+    return 1 + np.minimum(column, np.maximum(2 * x1, x1 + y))
 
 
 @dataclass(frozen=True, order=True)
@@ -73,17 +93,24 @@ class PhysicalPoint:
     py: float
 
 
-def to_physical(site: Site) -> PhysicalPoint:
-    """Map a site to its embedded coordinates.
+def physical_coordinates(
+    sublattice: Sublattice, x: int | np.ndarray, y: int | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Embedded coordinates ``(px, py)`` of sites on one sublattice.
 
     A(x, y) lands on (3x/2, sqrt(3)*y/2); B(x, y) on ((3x+1)/2, sqrt(3)*y/2).
     The map is injective: the two sublattices occupy disjoint columns.
+    ``x`` and ``y`` are ints, or integer arrays for many sites at once.
     """
-    if site.sub == "A":
-        px = 1.5 * site.x
-    else:
-        px = 1.5 * site.x + 0.5
-    return PhysicalPoint(px, SQRT3_HALF * site.y)
+    px = 1.5 * x
+    if sublattice == "B":
+        px = px + 0.5
+    return px, SQRT3_HALF * y
+
+
+def to_physical(site: Site) -> PhysicalPoint:
+    """Map a site to its embedded coordinates (see :func:`physical_coordinates`)."""
+    return PhysicalPoint(*physical_coordinates(site.sub, site.x, site.y))
 
 
 def shift_target(site: Site, coin_index: int) -> Site:

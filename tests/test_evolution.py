@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hexwalk.evolution
 from hexwalk import (
     CoinParams,
     CoinState,
@@ -14,6 +15,7 @@ from hexwalk import (
     distribution,
     evolve,
     initial_wavefunction,
+    origin_amplitudes,
     return_series,
     shift_target,
     step,
@@ -222,10 +224,42 @@ class TestReturnSeries:
         series = return_series(CoinState.uniform(), 11, grover_coin)
         assert [t for t, _ in series] == [0, 2, 4, 6, 8, 10]
 
-    def test_matches_separately_evolved_distribution(self, grover_coin):
-        series = return_series(BETA_STATE, 8, grover_coin)
-        p8 = distribution(evolve(BETA_STATE, 8, grover_coin)).probability(Site.a(0, 0))
-        assert abs(series[-1][1] - p8) < 1e-14
+    def test_matches_separately_evolved_distribution(self):
+        # the cropped stream equals a full evolution bit for bit at every even
+        # time, for real and complex states, at even and odd t_max
+        cases = [
+            (CoinParams.grover(), BETA_STATE),
+            (CoinParams(1.0), CoinState(0.6, 0.0, 0.8)),
+            (CoinParams(4.0), CoinState(0.48 + 0.6j, 0.64, 0.0)),
+        ]
+        for params, state in cases:
+            coin = build_coin(params)
+            for t_max in (30, 31):
+                stream = list(origin_amplitudes(state, t_max, coin))
+                assert [t for t, _ in stream] == list(range(0, t_max + 1, 2))
+                for t, amp in stream:
+                    full = evolve(state, t, coin).amplitude(Site.a(0, 0))
+                    assert amp.tobytes() == full.tobytes(), (params.theta, t_max, t)
+
+    def test_steps_only_the_backward_light_cone(self, grover_coin, monkeypatch):
+        # the state stepped at time t holds the occupied sites (d <= t, d = t
+        # mod 2, with d the BFS distance) that are at most t_max - t hops out
+        t_max = 40
+        sizes = []
+        real_step = hexwalk.evolution.step
+
+        def recording_step(wf, coin):
+            sizes.append(len(wf))
+            return real_step(wf, coin)
+
+        monkeypatch.setattr(hexwalk.evolution, "step", recording_step)
+        list(origin_amplitudes(CoinState.uniform(), t_max, grover_coin))
+        dist = graph_distances(t_max).values()
+        expected = [
+            sum(1 for d in dist if d <= min(t, t_max - t) and (t - d) % 2 == 0)
+            for t in range(t_max)
+        ]
+        assert sizes == expected
 
     def test_negative_t_rejected(self, grover_coin):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexwalk import Site, shift_target, support_parity_ok, to_physical
+from hexwalk import Site, physical_coordinates, shift_target, support_parity_ok, to_physical
+from hexwalk.lattice import _hop_distance
+
+from oracles import graph_distances
 
 coords = st.integers(-1000, 1000)
 coin_indices = st.integers(0, 2)
@@ -46,6 +50,14 @@ class TestToPhysical:
             p = to_physical(site)
             assert abs(p.px * 2 - round(p.px * 2)) < 1e-9
             assert abs(p.py / (math.sqrt(3) / 2) - y) < 1e-9
+
+    @pytest.mark.parametrize("sub", ["A", "B"])
+    def test_array_form_matches_scalar(self, sub):
+        xy = np.array([(x, y) for x in range(-9, 10) for y in range(-9, 10)])
+        px, py = physical_coordinates(sub, xy[:, 0], xy[:, 1])
+        points = [to_physical(Site(sub, x, y)) for x, y in xy.tolist()]
+        assert px.tolist() == [p.px for p in points]
+        assert py.tolist() == [p.py for p in points]
 
     def test_injective_on_a_box(self):
         box = [
@@ -137,3 +149,29 @@ class TestSupportParity:
             site = Site.a(x, y)
             assert support_parity_ok(site, 0)
             assert support_parity_ok(shift_target(site, j), 1)
+
+
+class TestHopDistance:
+    @pytest.mark.parametrize("sub", ["A", "B"])
+    def test_matches_bfs(self, sub):
+        # every site a walk from A(0, 0) can occupy (x + y even on A, odd on
+        # B) in a box wider than the BFS ball: inside the ball the distance is
+        # the BFS one, outside it is past the radius
+        radius = 12
+        ball = graph_distances(radius)
+        odd = sub == "B"
+        xy = np.array([
+            (x, y)
+            for x in range(-radius, radius + 1)
+            for y in range(-radius - 3, radius + 4)
+            if (x + y) % 2 == odd
+        ])
+        inside = 0
+        for (x, y), d in zip(xy.tolist(), _hop_distance(sub, xy).tolist()):
+            site = Site(sub, x, y)
+            if site in ball:
+                inside += 1
+                assert d == ball[site], site
+            else:
+                assert d > radius, site
+        assert inside == sum(1 for site in ball if site.sub == sub)
