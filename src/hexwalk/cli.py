@@ -63,9 +63,9 @@ class RunConfig:
     t_max: int
     output_path: str | None
     fmt: str
-    tolerance: float = 0.01
-    window: int = 10
-    indices: bool = False
+    tolerance: float
+    window: int
+    indices: bool
 
 
 # Output formats each command accepts; the first is its default.
@@ -153,6 +153,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     window = _number(setting("window", 10), "window")
     if int(window) != window or int(window) < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
+    if args.command == "compare" and window > t_max // 2 + 1:
+        raise ValueError(f"window must be at most {int(t_max) // 2 + 1}, the number of even "
+                         f"times up to t_max = {int(t_max)}, got {window!r}")
     indices = setting("indices", False)
     if not isinstance(indices, bool):
         raise ValueError(f"indices must be true or false, got {indices!r}")

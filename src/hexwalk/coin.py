@@ -21,7 +21,6 @@ __all__ = [
     "CoinMatrix",
     "GROVER_THETA",
     "build_coin",
-    "apply_coin",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -155,13 +154,3 @@ def build_coin(params: CoinParams) -> CoinMatrix:
         ]
     )
     return CoinMatrix(entries)
-
-
-def apply_coin(matrix: CoinMatrix, v: np.ndarray) -> np.ndarray:
-    """Multiply an amplitude triple by the coin matrix.
-
-    Promotes to complex and preserves the Euclidean norm (the matrix is
-    orthogonal).
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    return matrix.entries @ v

@@ -11,8 +11,7 @@ sorted by (x, y), and complex amplitude triples.  A step merges the three
 scattered clouds in an integer window one site wider than the support, so
 its rows come out sorted.  The scatter is collision-free -- each (site,
 component) pair receives exactly one contribution -- so values are copied,
-never summed, and are reproducible bit for bit.  A dict view of the same
-data is available through :attr:`WaveFunction.amplitudes`.
+never summed, and are reproducible bit for bit.
 
 The origin stream steps only the backward light cone of its last read:
 after step t it drops the rows more than ``t_max - t`` hops out.  The coin
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,43 +41,14 @@ __all__ = [
     "return_series",
 ]
 
-def _row(sublattice: Sublattice, xy: np.ndarray, site: Site) -> int | None:
-    """Index of ``site`` in the canonically sorted ``xy`` rows, or None."""
-    if site.sub != sublattice:
-        return None
-    xs = xy[:, 0]
-    lo = int(np.searchsorted(xs, site.x, side="left"))
-    hi = int(np.searchsorted(xs, site.x, side="right"))
-    i = lo + int(np.searchsorted(xy[lo:hi, 1], site.y))
-    return i if i < hi and xy[i, 0] == site.x and xy[i, 1] == site.y else None
-
-
-def _store_rows(table: WaveFunction | Distribution, dtype: type, row_shape: tuple) -> None:
-    """Check ``table.xy`` and ``table.values`` and store them as read-only arrays.
-
-    ``xy`` must be (n, 2), rows strictly increasing in (x, y) as ``_row``
-    searches them (one O(n) ``np.diff``), and ``values`` n rows of ``row_shape``.
-    """
-    xy = np.ascontiguousarray(table.xy, dtype=np.int64)
-    values = np.ascontiguousarray(table.values, dtype=dtype)
-    if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *row_shape):
-        raise ValueError(f"xy must be (n, 2) and values (n,) + {row_shape}")
-    d = np.diff(xy, axis=0)
-    if not np.all((d[:, 0] > 0) | ((d[:, 0] == 0) & (d[:, 1] > 0))):
-        raise ValueError("xy rows must be strictly increasing in (x, y)")
-    xy.setflags(write=False)
-    values.setflags(write=False)
-    object.__setattr__(table, "xy", xy)
-    object.__setattr__(table, "values", values)
-
 
 @dataclass(frozen=True)
-class WaveFunction:
-    """Sparse walker state at step ``t``.
+class _SiteTable:
+    """Rows of one sublattice at step ``t``, the body of both site tables.
 
-    All occupied sites share one sublattice tag.  ``xy`` holds the integer
-    indices, rows strictly increasing in (x, y), and ``values`` the matching
-    complex amplitude triples; both arrays are read-only.
+    ``xy`` holds the integer indices, rows strictly increasing in (x, y),
+    and ``values`` the matching rows of ``_row_shape``; both arrays are
+    read-only.  The construction check is one O(n) ``np.diff``.
     """
 
     sublattice: Sublattice
@@ -86,56 +56,61 @@ class WaveFunction:
     values: np.ndarray
     t: int
 
+    _dtype: ClassVar[type]
+    _row_shape: ClassVar[tuple[int, ...]]
+
     def __post_init__(self) -> None:
-        _store_rows(self, np.complex128, (3,))
+        xy = np.ascontiguousarray(self.xy, dtype=np.int64)
+        values = np.ascontiguousarray(self.values, dtype=self._dtype)
+        if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *self._row_shape):
+            raise ValueError(f"xy must be (n, 2) and values (n,) + {self._row_shape}")
+        d = np.diff(xy, axis=0)
+        if not np.all((d[:, 0] > 0) | ((d[:, 0] == 0) & (d[:, 1] > 0))):
+            raise ValueError("xy rows must be strictly increasing in (x, y)")
+        xy.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return self.xy.shape[0]
 
-    @cached_property
-    def amplitudes(self) -> dict[Site, np.ndarray]:
-        """Mapping from occupied sites to their amplitude triples."""
-        return {
-            Site(self.sublattice, int(x), int(y)): self.values[i]
-            for i, (x, y) in enumerate(self.xy)
-        }
+    def _lookup(self, site: Site) -> np.ndarray:
+        """The row at ``site`` (a binary search in ``xy``), or zeros if unoccupied."""
+        if site.sub == self.sublattice:
+            xs = self.xy[:, 0]
+            lo = int(np.searchsorted(xs, site.x, side="left"))
+            hi = int(np.searchsorted(xs, site.x, side="right"))
+            i = lo + int(np.searchsorted(self.xy[lo:hi, 1], site.y))
+            if i < hi and self.xy[i, 1] == site.y:
+                return self.values[i]
+        return np.zeros(self._row_shape, dtype=self._dtype)
+
+
+@dataclass(frozen=True)
+class WaveFunction(_SiteTable):
+    """Sparse walker state at step ``t``: complex amplitude triples per site."""
+
+    _dtype = np.complex128
+    _row_shape = (3,)
 
     def amplitude(self, site: Site) -> np.ndarray:
         """Amplitude triple at ``site`` (zeros if unoccupied)."""
-        i = _row(self.sublattice, self.xy, site)
-        if i is None:
-            return np.zeros(3, dtype=np.complex128)
-        return self.values[i].copy()
+        return self._lookup(site).copy()
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(_SiteTable):
     """Per-site observation probabilities at step ``t``, rows as in :class:`WaveFunction`."""
 
-    sublattice: Sublattice
-    xy: np.ndarray
-    values: np.ndarray
-    t: int
-
-    def __post_init__(self) -> None:
-        _store_rows(self, np.float64, ())
-
-    def __len__(self) -> int:
-        return self.xy.shape[0]
-
-    @cached_property
-    def probs(self) -> dict[Site, float]:
-        return {
-            Site(self.sublattice, int(x), int(y)): float(self.values[i])
-            for i, (x, y) in enumerate(self.xy)
-        }
+    _dtype = np.float64
+    _row_shape = ()
 
     def probability(self, site: Site) -> float:
-        i = _row(self.sublattice, self.xy, site)
-        return 0.0 if i is None else float(self.values[i])
+        return float(self._lookup(site))
 
     def total(self) -> float:
         return float(np.sum(self.values))
@@ -160,7 +135,7 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     """
     mixed = wf.values @ coin.entries.T
     xs, ys = wf.xy[:, 0], wf.xy[:, 1]
-    # Rows are sorted by (x, y) (``_store_rows`` checks it): x's bounds are the end rows.
+    # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
     lo = np.array([xs[0], ys.min()]) - 1
     nx, ny = int(xs[-1] - lo[0]) + 2, int(ys.max() - lo[1]) + 2
     base = (xs - lo[0]) * ny + (ys - lo[1])

@@ -22,9 +22,7 @@ import numpy as np
 
 __all__ = [
     "Site",
-    "PhysicalPoint",
     "physical_coordinates",
-    "to_physical",
     "shift_target",
     "support_parity_ok",
 ]
@@ -81,18 +79,6 @@ class Site:
         return cls("B", x, y)
 
 
-@dataclass(frozen=True)
-class PhysicalPoint:
-    """Embedded lattice coordinates.
-
-    ``px`` is always an integer multiple of 1/2 and ``py`` an integer
-    multiple of sqrt(3)/2.
-    """
-
-    px: float
-    py: float
-
-
 def physical_coordinates(
     sublattice: Sublattice, x: int | np.ndarray, y: int | np.ndarray
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
@@ -106,11 +92,6 @@ def physical_coordinates(
     if sublattice == "B":
         px = px + 0.5
     return px, SQRT3_HALF * y
-
-
-def to_physical(site: Site) -> PhysicalPoint:
-    """Map a site to its embedded coordinates (see :func:`physical_coordinates`)."""
-    return PhysicalPoint(*physical_coordinates(site.sub, site.x, site.y))
 
 
 def shift_target(site: Site, coin_index: int) -> Site:

@@ -33,7 +33,6 @@ from .coin import CoinMatrix, CoinParams, CoinState
 __all__ = [
     "Momentum",
     "TwoStepOperator",
-    "r_matrix",
     "two_step_operator",
     "eigenphases_closed_form",
     "fourier_evolve",
@@ -75,11 +74,6 @@ class TwoStepOperator:
     matrix: np.ndarray
     eigenphases: tuple[float, float, float]
     eigenvectors: np.ndarray
-
-
-def r_matrix(m: Momentum) -> np.ndarray:
-    """The diagonal shift-phase matrix diag(e^{-ib}, e^{ia}, e^{ib})."""
-    return np.diag(_r_diag(m.a, m.b))
 
 
 def _r_diag(a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:

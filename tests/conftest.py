@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexwalk import CoinParams, CoinState, build_coin
+from hexwalk import CoinParams, CoinState, Site, build_coin
 
 
 def random_theta(rng: np.random.Generator, margin: float = 0.05) -> float:
@@ -12,6 +12,11 @@ def random_theta(rng: np.random.Generator, margin: float = 0.05) -> float:
         theta = rng.uniform(0.0, 2.0 * math.pi)
         if min(theta, abs(theta - math.pi), 2.0 * math.pi - theta) > margin:
             return theta
+
+
+def rows(table) -> dict:
+    """``{Site: row}`` for every row of a WaveFunction or Distribution, in row order."""
+    return {Site(table.sublattice, x, y): v for (x, y), v in zip(table.xy.tolist(), table.values)}
 
 
 def random_state(rng: np.random.Generator) -> CoinState:

@@ -90,9 +90,10 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", *_GROVER_BETA, "--t-max", "5"],
     ["limit", *_GROVER_BETA, "--indices"],
     ["return-series", *_GROVER_BETA, "--window", "3"],
+    ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
 ], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
-        "limit-t_max", "limit-indices", "return-series-window"])
+        "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
@@ -108,14 +109,28 @@ def test_invalid_command_lines_rejected(argv):
     ("simulate", {"alpha": [float("nan"), 0.0]}),
     ("simulate", {"alpha": True, "beta": 0.0}),
     ("simulate", {"output_path": 1}),
+    ("compare", {"window": 4}),
 ], ids=["tolerance-string", "theta-list", "t_max-infinity", "t_max-bool",
-        "indices-string", "alpha-nan", "alpha-bool", "output_path-int"])
+        "indices-string", "alpha-nan", "alpha-bool", "output_path-int", "window-past-t_max"])
 def test_badly_typed_config_values_rejected(tmp_path, command, override):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**_BASE_CONFIG, **override}), encoding="utf-8")
     out, err, code = run_cli([command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compare_window_may_span_every_even_time():
+    # t_max 4 has the three even times 0, 2 and 4: window 3 averages them all
+    out, err, code = run_cli(
+        ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3", "--format", "json"]
+    )
+    assert (err, code) == ("", 3)
+    coin = hexwalk.build_coin(hexwalk.CoinParams.grover())
+    series = hexwalk.return_series(hexwalk.CoinState(0, 1, 0), 4, coin)
+    report = json.loads(out)
+    assert report["window"] == 3
+    assert report["p_origin_mean"] == pytest.approx(sum(p for _, p in series) / 3, abs=1e-15)
 
 
 def test_unread_config_keys_ignored(tmp_path):

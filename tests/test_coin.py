@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwalk import CoinMatrix, CoinParams, CoinState, apply_coin, build_coin
+from hexwalk import CoinMatrix, CoinParams, CoinState, build_coin
 
 GROVER = np.array([
     [-1 / 3, 2 / 3, 2 / 3],
@@ -120,18 +120,18 @@ class TestBuildCoin:
 
 class TestApplyCoin:
     def test_column_extraction(self, grover_coin):
-        out = apply_coin(grover_coin, np.array([0.0, 1.0, 0.0]))
+        out = grover_coin.entries @ np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [2 / 3, -1 / 3, 2 / 3], atol=1e-15)
 
     def test_involution(self, grover_coin):
         rng = np.random.default_rng(3)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        np.testing.assert_allclose(apply_coin(grover_coin, apply_coin(grover_coin, v)), v, atol=1e-12)
+        np.testing.assert_allclose(grover_coin.entries @ (grover_coin.entries @ v), v, atol=1e-12)
 
     def test_uniform_vector_is_grover_fixed_point(self, grover_coin):
         v = np.full(3, 1 / math.sqrt(3))
-        np.testing.assert_allclose(apply_coin(grover_coin, v), v, atol=1e-15)
+        np.testing.assert_allclose(grover_coin.entries @ v, v, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(theta=admitted_angles, seed=st.integers(0, 2**31))
@@ -139,5 +139,5 @@ class TestApplyCoin:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        out = apply_coin(build_coin(CoinParams(theta)), v)
+        out = build_coin(CoinParams(theta)).entries @ v
         assert abs(np.linalg.norm(out) - 1.0) < 1e-13

@@ -10,7 +10,6 @@ from hexwalk import (
     Distribution,
     Site,
     WaveFunction,
-    apply_coin,
     build_coin,
     distribution,
     evolve,
@@ -22,7 +21,7 @@ from hexwalk import (
     support_parity_ok,
 )
 
-from conftest import random_state, random_theta
+from conftest import random_state, random_theta, rows
 from oracles import graph_distances, reference_evolve
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
@@ -40,7 +39,7 @@ class TestInitialWaveFunction:
     def test_uniform_state(self):
         wf = initial_wavefunction(CoinState.uniform())
         np.testing.assert_allclose(
-            wf.amplitudes[Site.a(0, 0)], np.full(3, 1 / math.sqrt(3)), atol=1e-15
+            rows(wf)[Site.a(0, 0)], np.full(3, 1 / math.sqrt(3)), atol=1e-15
         )
 
     def test_middle_state(self):
@@ -66,7 +65,7 @@ class TestStep:
             params = CoinParams(random_theta(rng))
             coin = build_coin(params)
             state = random_state(rng)
-            mixed = apply_coin(coin, state.as_array())
+            mixed = coin.entries @ state.as_array()
             expected = np.array([
                 -(1 + params.c) / 2 * mixed[0],
                 params.c * mixed[1],
@@ -80,9 +79,9 @@ class TestStep:
         assert abs(wf.norm_squared() - 1.0) < 1e-10
 
     def test_matches_reference_stepper(self, grover_coin):
-        # every lookup in a box past the light cone, on both sublattices:
-        # sites the reference lacks (missing x, missing y, wrong sublattice,
-        # just outside the merge window) must read as exact zeros
+        # every lookup in a box past the light cone, on both sublattices and
+        # in both site tables: sites the reference lacks (missing x, missing
+        # y, wrong sublattice, just outside the merge window) read as exact zeros
         rng = np.random.default_rng(5)
         for _ in range(3):
             params = CoinParams(random_theta(rng))
@@ -93,7 +92,7 @@ class TestStep:
                 if t:
                     wf = step(wf, coin)
                 ref = reference_evolve(state.as_array(), t, coin.entries)
-                assert set(wf.amplitudes) == set(ref)
+                assert set(rows(wf)) == set(ref)
                 nx, ny = t // 2 + 2, t + 2
                 box = [
                     Site(sub, x, y)
@@ -102,11 +101,15 @@ class TestStep:
                     for y in range(-ny, ny + 1)
                 ]
                 assert set(ref) <= set(box)
+                dist = distribution(wf)
                 for site in box:
                     if site in ref:
                         np.testing.assert_allclose(wf.amplitude(site), ref[site], atol=1e-12)
+                        expected = float(np.sum(np.abs(ref[site]) ** 2))
+                        assert abs(dist.probability(site) - expected) <= 1e-12
                     else:
                         np.testing.assert_array_equal(wf.amplitude(site), np.zeros(3))
+                        assert dist.probability(site) == 0.0
 
     @pytest.mark.parametrize("x, y", [(0, 3_000_000), (-5, -2_097_152), (10**6, -2_097_153)])
     def test_far_sites_step_to_their_neighbours(self, grover_coin, x, y):
@@ -114,8 +117,8 @@ class TestStep:
         values = np.array([1.0, 0.5j, -0.25])
         wf = step(WaveFunction("A", [[x, y]], [values], 0), grover_coin)
         targets = [shift_target(Site.a(x, y), j) for j in range(3)]
-        assert list(wf.amplitudes) == sorted(targets)
-        mixed = apply_coin(grover_coin, values)
+        assert list(rows(wf)) == sorted(targets)
+        mixed = grover_coin.entries @ values
         for j, site in enumerate(targets):
             expected = np.zeros(3, dtype=complex)
             expected[j] = mixed[j]
@@ -151,7 +154,7 @@ class TestSupport:
         wf = initial_wavefunction(random_state(rng))
         for t in range(1, 40):
             wf = step(wf, coin)
-            assert all(support_parity_ok(site, t) for site in wf.amplitudes)
+            assert all(support_parity_ok(site, t) for site in rows(wf))
 
     def test_light_cone_vs_bfs(self):
         # occupied support equals the parity-compatible ball of the walk graph
@@ -161,7 +164,7 @@ class TestSupport:
         wf = initial_wavefunction(random_state(rng))
         for t in range(1, 9):
             wf = step(wf, coin)
-            distances = [dist[site] for site in wf.amplitudes]
+            distances = [dist[site] for site in rows(wf)]
             assert max(distances) == t
             assert all(d <= t and (t - d) % 2 == 0 for d in distances)
 
@@ -169,7 +172,7 @@ class TestSupport:
 class TestDistribution:
     def test_initial(self):
         d = distribution(initial_wavefunction(CoinState(1, 0, 0)))
-        assert d.probs == {Site.a(0, 0): 1.0}
+        assert rows(d) == {Site.a(0, 0): 1.0}
 
     def test_two_step_grover_origin(self, grover_coin):
         d = distribution(evolve(BETA_STATE, 2, grover_coin))

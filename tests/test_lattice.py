@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hexwalk import Site, physical_coordinates, shift_target, support_parity_ok, to_physical
+from hexwalk import Site, physical_coordinates, shift_target, support_parity_ok
 from hexwalk.lattice import _hop_distance
 
 from oracles import graph_distances
@@ -32,41 +32,39 @@ class TestSite:
 
 class TestToPhysical:
     def test_origin(self):
-        p = to_physical(Site.a(0, 0))
-        assert (p.px, p.py) == (0.0, 0.0)
+        assert physical_coordinates("A", 0, 0) == (0.0, 0.0)
 
     def test_a_site(self):
-        p = to_physical(Site.a(1, 1))
-        assert p.px == 1.5
-        assert abs(p.py - math.sqrt(3) / 2) < 1e-15
+        px, py = physical_coordinates("A", 1, 1)
+        assert px == 1.5
+        assert abs(py - math.sqrt(3) / 2) < 1e-15
 
     def test_b_site(self):
-        p = to_physical(Site.b(0, 0))
-        assert (p.px, p.py) == (0.5, 0.0)
+        assert physical_coordinates("B", 0, 0) == (0.5, 0.0)
 
     @given(x=coords, y=coords)
     def test_coordinate_multiples(self, x, y):
-        for site in (Site.a(x, y), Site.b(x, y)):
-            p = to_physical(site)
-            assert abs(p.px * 2 - round(p.px * 2)) < 1e-9
-            assert abs(p.py / (math.sqrt(3) / 2) - y) < 1e-9
+        for sub in ("A", "B"):
+            px, py = physical_coordinates(sub, x, y)
+            assert abs(px * 2 - round(px * 2)) < 1e-9
+            assert abs(py / (math.sqrt(3) / 2) - y) < 1e-9
 
     @pytest.mark.parametrize("sub", ["A", "B"])
     def test_array_form_matches_scalar(self, sub):
         xy = np.array([(x, y) for x in range(-9, 10) for y in range(-9, 10)])
         px, py = physical_coordinates(sub, xy[:, 0], xy[:, 1])
-        points = [to_physical(Site(sub, x, y)) for x, y in xy.tolist()]
-        assert px.tolist() == [p.px for p in points]
-        assert py.tolist() == [p.py for p in points]
+        points = [physical_coordinates(sub, x, y) for x, y in xy.tolist()]
+        assert px.tolist() == [p[0] for p in points]
+        assert py.tolist() == [p[1] for p in points]
 
     def test_injective_on_a_box(self):
         box = [
-            Site(sub, x, y)
+            (sub, x, y)
             for sub in ("A", "B")
             for x in range(-6, 7)
             for y in range(-6, 7)
         ]
-        points = {(to_physical(s).px, to_physical(s).py) for s in box}
+        points = {physical_coordinates(*s) for s in box}
         assert len(points) == len(box)
 
 
@@ -85,13 +83,12 @@ class TestShiftTarget:
         # A(0,0) hops to the left neighbour at physical (-1, 0)
         target = shift_target(Site.a(0, 0), 1)
         assert target == Site.b(-1, 0)
-        p = to_physical(target)
-        assert (p.px, p.py) == (-1.0, 0.0)
+        assert physical_coordinates(target.sub, target.x, target.y) == (-1.0, 0.0)
 
     def test_b_coin1_matches_embedding(self):
         target = shift_target(Site.b(0, 0), 1)
         assert target == Site.a(1, 0)
-        assert to_physical(target).px == 1.5
+        assert physical_coordinates(target.sub, target.x, target.y)[0] == 1.5
 
     def test_invalid_coin_index(self):
         with pytest.raises(ValueError):

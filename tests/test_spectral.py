@@ -13,11 +13,10 @@ from hexwalk import (
     evolve,
     fourier_evolve,
     inverse_transform_site,
-    r_matrix,
     two_step_operator,
 )
 
-from conftest import random_state, random_theta
+from conftest import random_state, random_theta, rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,22 +35,6 @@ class TestMomentum:
     def test_in_range_values_unchanged(self):
         m = Momentum(0.5, -0.25)
         assert (m.a, m.b) == (0.5, -0.25)
-
-
-class TestRMatrix:
-    def test_zero_momentum_is_identity(self):
-        np.testing.assert_allclose(r_matrix(Momentum(0, 0)), np.eye(3), atol=1e-15)
-
-    def test_quarter_turn(self):
-        np.testing.assert_allclose(
-            r_matrix(Momentum(math.pi / 2, 0.0)), np.diag([1, 1j, 1]), atol=1e-15
-        )
-
-    def test_unimodular(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            m = Momentum(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            assert abs(abs(np.linalg.det(r_matrix(m))) - 1.0) < 1e-13
 
 
 class TestTwoStepOperator:
@@ -172,7 +155,7 @@ class TestInverseTransform:
         coin = build_coin(params)
         state = random_state(rng)
         wf = evolve(state, 6, coin)
-        for site, amp in wf.amplitudes.items():
+        for site, amp in rows(wf).items():
             out = inverse_transform_site(state, 3, site.x, site.y, 32, coin)
             np.testing.assert_allclose(out, amp, atol=1e-8)
 
