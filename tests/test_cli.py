@@ -83,7 +83,7 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", "--theta", "nan", "--state", "0,1,0", "--format", "json"],
     ["limit", "--theta", "inf", "--state", "0,1,0", "--format", "json"],
     ["simulate", "--theta", "1.0", "--state", "nan,0,0", "--t-max", "2"],
-    ["compare", *_GROVER_BETA, "--t-max", "4", "--tolerance", "nan"],
+    ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3", "--tolerance", "nan"],
     ["simulate", *_GROVER_BETA, "--t-max", "abc"],
     ["simulate", *_GROVER_BETA, "--format", "xml"],
     ["bogus", *_GROVER_BETA],
@@ -101,7 +101,7 @@ def test_invalid_command_lines_rejected(argv):
 
 
 @pytest.mark.parametrize("command, override", [
-    ("compare", {"tolerance": "0.1"}),
+    ("compare", {"tolerance": "0.1", "window": 3}),
     ("simulate", {"theta": [1.0]}),
     ("simulate", {"t_max": float("inf")}),
     ("simulate", {"t_max": True}),
@@ -118,6 +118,20 @@ def test_badly_typed_config_values_rejected(tmp_path, command, override):
     out, err, code = run_cli([command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*_GROVER_BETA, "--t-max", "4", "--window", "4"], None),
+    ([], {**_BASE_CONFIG, "window": 4}),
+], ids=["flag", "config"])
+def test_compare_window_error_names_largest_window(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(path)]
+    out, err, code = run_cli(["compare", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: window must be at most 3,") and err.count("\n") == 1
 
 
 def test_compare_window_may_span_every_even_time():

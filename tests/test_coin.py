@@ -119,6 +119,8 @@ class TestBuildCoin:
 
 
 class TestApplyCoin:
+    """The coin product `CoinMatrix.entries @ v` (there is no separate function)."""
+
     def test_column_extraction(self, grover_coin):
         out = grover_coin.entries @ np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [2 / 3, -1 / 3, 2 / 3], atol=1e-15)

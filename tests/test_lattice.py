@@ -31,6 +31,8 @@ class TestSite:
 
 
 class TestToPhysical:
+    """The embedding `physical_coordinates`, on ints and on arrays."""
+
     def test_origin(self):
         assert physical_coordinates("A", 0, 0) == (0.0, 0.0)
 
