@@ -144,6 +144,23 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=16)
+def _kernel(params: CoinParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes b, z(b) and weights w / (pi root(b)) of the n-point rule at one coin.
+
+    Cached, so that the calls of one amplitude map share them.
+    """
+    c, s = params.c, params.s
+    b, w = _rule(n)
+    cb, sb = np.cos(b), np.sin(b)
+    root = (1.0 - c) * sb * np.sqrt((3.0 + c) ** 2 - (1.0 - c) ** 2 * cb * cb)
+    z = 2.0 * s * s * cb / (2.0 * s * s + (1.0 - c) ** 2 * sb * sb + root)
+    out = (b, z, w / (math.pi * root))
+    for a in out[1:]:
+        a.setflags(write=False)
+    return out
+
+
 def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
     """G(x, y, x1, y1) for each row of the (m, 4) int array ``terms``; shifts even.
 
@@ -155,28 +172,32 @@ def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
     (z in the rationalized form that stays stable where cos(b) vanishes).
     Its 1/b endpoint poles cancel once the anchor's numerator, 1 for even
     |x| + |y| and z for odd, is subtracted before the division by pi root.
-    One table of the distinct sites (|x|, |y|) is evaluated on n and 2n
-    nodes, n doubling from a start that grows with the largest |y| (as
-    cos(b |y|) oscillates), until every difference agrees between the two
-    rules; the finer values are returned.  A certificate that needs a rule
+    One table of the distinct sites (|x|, |y|), found through one integer
+    key |x| span + |y| per site, is evaluated on n and 2n nodes, n doubling
+    from a start that grows with the largest |y| (as cos(b |y|) oscillates),
+    until every difference agrees between the two rules; the finer values
+    are returned.  z^{|x|} is formed by binary powering over the distinct
+    sites, in O(sites x nodes) memory.  A certificate that needs a rule
     larger than ``_MAX_NODES`` raises :class:`QuadratureError`.
     """
-    c, s = params.c, params.s
-    x, y, x1, y1 = terms.T
-    pairs = np.abs(np.stack([x, y, x - x1, y - y1], axis=1)).reshape(-1, 2)
-    sites, where = np.unique(pairs, axis=0, return_inverse=True)
-    where = where.reshape(-1, 2)
-    ax, ay = sites[:, :1], sites[:, 1:]
-    n = max(32, 8 * int(ay.max()) + 32)
+    ends = np.abs(np.concatenate([terms[:, :2], terms[:, :2] - terms[:, 2:]]))
+    span = int(ends[:, 1].max()) + 1
+    keys, where = np.unique(ends[:, 0] * span + ends[:, 1], return_inverse=True)
+    where = where.reshape(2, -1)
+    ax, ay = np.divmod(keys, span)
+    odd = ((ax + ay) % 2 == 1)[:, None]
+    bits = (ax[:, None] >> np.arange(int(ax.max()).bit_length())) & 1 == 1
+    n = 8 * (span - 1) + 32
     coarse = None
     while n <= _MAX_NODES:
-        b, w = _rule(n)
-        cb, sb = np.cos(b), np.sin(b)
-        root = (1.0 - c) * sb * np.sqrt((3.0 + c) ** 2 - (1.0 - c) ** 2 * cb * cb)
-        z = 2.0 * s * s * cb / (2.0 * s * s + (1.0 - c) ** 2 * sb * sb + root)
-        num = np.cos(ay * b) * z**ax - np.where((ax + ay) % 2 == 1, z, 1.0)
-        h = (num / (math.pi * root)) @ w
-        fine = h[where[:, 0]] - h[where[:, 1]]
+        b, z, w = _kernel(params, n)
+        zx, base = np.ones((keys.size, n)), z
+        for j in range(bits.shape[1]):
+            np.multiply(zx, base, out=zx, where=bits[:, j:j + 1])
+            base = base * base
+        num = np.cos(ay[:, None] * b) * zx - np.where(odd, z, 1.0)
+        h = num @ w
+        fine = h[where[0]] - h[where[1]]
         if coarse is not None and np.all(
             np.abs(fine - coarse) <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(fine))
         ):

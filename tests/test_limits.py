@@ -183,6 +183,16 @@ class TestGDifference:
         oracle = np.array([g_difference_quad(*row, params.c, params.s) for row in rows])
         assert np.all(np.abs(table - oracle) <= 1e-12 + 1e-10 * np.abs(oracle))
 
+    @pytest.mark.parametrize("theta", stratified_thetas(3), ids="{:.3f}".format)
+    def test_powers_past_map_box(self, theta):
+        # maps reach |x| <= 6; these sites take z to powers up to 13
+        params = CoinParams(theta)
+        for x, y in [(12, 0), (-12, 2), (11, 1), (-10, -2), (9, -3), (8, 4)]:
+            for shift in SHIFTS:
+                value = g_difference(x, y, *shift, params)
+                oracle = g_difference_quad(x, y, *shift, params.c, params.s)
+                assert abs(value - oracle) <= 1e-12 + 1e-10 * abs(oracle)
+
     @pytest.mark.parametrize("theta, case", [
         (0.3, (3, 1, 1, -1)),
         (1.0, (5, -7, 1, 1)),

@@ -96,8 +96,21 @@ class TestEigenphasesClosedForm:
     def test_band_bottom(self):
         # at (pi, 0) with theta = pi/2 the dispersion hits cos(nu2) = -1
         closed = eigenphases_closed_form(Momentum(math.pi, 0.0), CoinParams(math.pi / 2))
-        assert abs(closed[1] - math.pi) < 1e-7
-        assert abs(closed[2] - math.pi) < 1e-7
+        assert abs(closed[1] - math.pi) < 1e-13
+        assert abs(closed[2] - math.pi) < 1e-13
+
+    @pytest.mark.parametrize("params", [CoinParams.grover(), CoinParams(2.5)],
+                             ids=["grover", "2.5"])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_near_band_bottom_matches_schur(self, params, delta):
+        # for c < 0 the dispersion reaches cos(nu2) = -1 on a = pi,
+        # cos b = (1 + c) / (1 - c); an arcsin of the rounded X there lost
+        # half the digits (1.2e-8 at delta = 1e-8 for Grover)
+        b_star = math.acos((1.0 + params.c) / (1.0 - params.c))
+        m = Momentum(math.pi, b_star + delta)
+        closed = eigenphases_closed_form(m, params)
+        numeric = two_step_operator(m, build_coin(params)).eigenphases
+        assert abs(closed[1] - numeric[1]) < 1e-13
 
     def test_matches_numerical_phases(self):
         rng = np.random.default_rng(31)
@@ -158,6 +171,19 @@ class TestInverseTransform:
         for site, amp in rows(wf).items():
             out = inverse_transform_site(state, 3, site.x, site.y, 32, coin)
             np.testing.assert_allclose(out, amp, atol=1e-8)
+
+    @pytest.mark.parametrize("theta, state", [
+        (1.0, CoinState(0.6, 0.0, 0.8)),
+        (4.0, CoinState(0.48 + 0.6j, 0.64, 0.0)),
+    ])
+    def test_twenty_five_pairs_match_evolution(self, theta, state):
+        # (20, 32) is 52 hops out, past the light cone of 50 steps
+        coin = build_coin(CoinParams(theta))
+        wf = evolve(state, 50, coin)
+        for x, y in [(0, 0), (2, 0), (-3, 5), (7, -9), (0, -24), (20, 32)]:
+            grid_n = 2 * 25 + abs(x) + abs(y) + 1
+            out = inverse_transform_site(state, 25, x, y, grid_n, coin)
+            np.testing.assert_allclose(out, wf.amplitude(Site.a(x, y)), rtol=0, atol=1e-13)
 
     def test_unoccupied_site_is_zero(self, grover_coin):
         out = inverse_transform_site(CoinState(0, 1, 0), 1, 5, 5, 16, grover_coin)
