@@ -26,7 +26,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .coin import CoinParams, CoinState, build_coin
+from .coin import GROVER_THETA, CoinParams, CoinState, build_coin
 # ``step`` is unused here but kept: bench/tests/test_bench.py checks hexwalk.cli.step.
 from .evolution import distribution, evolve, origin_amplitudes, return_series, step  # noqa: F401
 from .lattice import physical_coordinates
@@ -116,7 +116,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     preset = setting("preset")
     theta = setting("theta")
     if preset == "grover":
-        theta = CoinParams.grover().theta
+        theta = GROVER_THETA
     elif preset is not None:
         raise ValueError(f"unknown preset {preset!r}")
     elif theta is None:
@@ -164,8 +164,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"output_path must be a string, got {out!r}")
 
     # Built last, so that the checks above report their errors first.
-    params = CoinParams.grover() if preset == "grover" else CoinParams(float(theta))
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
+    params = CoinParams(float(theta))
+    # hypot of the six parts: abs() of a complex can overflow where hypot cannot.
+    norm = math.hypot(*(v for z in (alpha, beta, gamma) for v in (z.real, z.imag)))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized within 1e-9, |state| = {norm!r}")
 

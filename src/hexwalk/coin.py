@@ -11,7 +11,7 @@ there the coin degenerates and the walk is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,23 +34,17 @@ GROVER_THETA = math.acos(-1.0 / 3.0)
 class CoinParams:
     """Coin mixing angle with its cosine and sine fixed at construction.
 
-    ``c`` and ``s`` are stored (not recomputed by consumers) so that every
-    module works from bit-identical values.  The angle must be finite and
-    is reduced into [0, 2*pi); values within 1e-12 of 0 or pi are rejected.
-
-    Parameters
-    ----------
-    theta : float
-        Mixing angle in radians.
-    c, s : float, optional
-        Explicit cosine/sine overrides.  Used by :meth:`grover` to pin the
-        exact rationals c = -1/3, s = 2*sqrt(2)/3; when given they must be
-        consistent with ``theta`` and with c**2 + s**2 = 1.
+    ``c`` and ``s`` are derived from ``theta`` once and stored (not
+    recomputed by consumers) so that every module works from bit-identical
+    values.  At ``GROVER_THETA`` they are the exact c = -1/3 and
+    s = 2*sqrt(2)/3, not the rounded cosine and sine.  The angle must be
+    finite and is reduced into [0, 2*pi); values within 1e-12 of 0 or pi
+    are rejected.
     """
 
     theta: float
-    c: float | None = None
-    s: float | None = None
+    c: float = field(init=False)
+    s: float = field(init=False)
 
     def __post_init__(self) -> None:
         theta = float(self.theta)
@@ -61,13 +55,10 @@ class CoinParams:
             raise ValueError(
                 f"theta={self.theta!r} is degenerate: angles 0 and pi are not admitted"
             )
-        c = math.cos(theta) if self.c is None else float(self.c)
-        s = math.sin(theta) if self.s is None else float(self.s)
-        # Written so that a NaN override fails the check.
-        if not (abs(c - math.cos(theta)) <= 1e-12 and abs(s - math.sin(theta)) <= 1e-12):
-            raise ValueError("explicit c/s are inconsistent with theta")
-        if abs(c * c + s * s - 1.0) > 1e-12:
-            raise ValueError("c**2 + s**2 must equal 1")
+        if theta == GROVER_THETA:
+            c, s = -1.0 / 3.0, 2.0 * math.sqrt(2.0) / 3.0
+        else:
+            c, s = math.cos(theta), math.sin(theta)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
@@ -75,7 +66,7 @@ class CoinParams:
     @classmethod
     def grover(cls) -> "CoinParams":
         """Parameters of the Grover coin: c = -1/3, s = 2*sqrt(2)/3."""
-        return cls(GROVER_THETA, c=-1.0 / 3.0, s=2.0 * math.sqrt(2.0) / 3.0)
+        return cls(GROVER_THETA)
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,10 @@ class CoinState:
         alpha = complex(self.alpha)
         beta = complex(self.beta)
         gamma = complex(self.gamma)
-        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
+        # hypot, then squared by multiplication: a huge amplitude gives inf
+        # and fails the check below, where abs() or ** would raise OverflowError.
+        norm = math.hypot(*(v for z in (alpha, beta, gamma) for v in (z.real, z.imag)))
+        norm_sq = norm * norm
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(
                 f"coin state must be finite and normalized, |state|^2 = {norm_sq!r}"

@@ -20,12 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = [
-    "Site",
-    "physical_coordinates",
-    "shift_target",
-    "support_parity_ok",
-]
+__all__ = ["Site", "physical_coordinates"]
 
 Sublattice = Literal["A", "B"]
 
@@ -92,33 +87,3 @@ def physical_coordinates(
     if sublattice == "B":
         px = px + 0.5
     return px, SQRT3_HALF * y
-
-
-def shift_target(site: Site, coin_index: int) -> Site:
-    """Return the neighbour reached from ``site`` along a coin direction.
-
-    Coin index 0, 1, 2 selects one of the three honeycomb edges at the
-    site.  From A(x, y): coin 0 -> B(x, y+1), coin 1 -> B(x-1, y),
-    coin 2 -> B(x, y-1).  From B(x, y): coin 0 -> A(x, y-1),
-    coin 1 -> A(x+1, y), coin 2 -> A(x, y+1).  The move always flips the
-    sublattice tag and the parity of x + y, and applying the same coin
-    index from the target leads back to ``site``.
-    """
-    if coin_index not in (0, 1, 2):
-        raise ValueError(f"coin_index must be 0, 1 or 2, got {coin_index!r}")
-    dx, dy = HOPS[site.sub][coin_index]
-    return Site("B" if site.sub == "A" else "A", site.x + dx, site.y + dy)
-
-
-def support_parity_ok(site: Site, t: int) -> bool:
-    """Whether ``site`` can carry amplitude at step ``t`` of a walk from A(0, 0).
-
-    A walker started at the origin alternates sublattices each step and
-    flips the parity of x + y each step, so it is observable only on
-    A-sites with x + y even at even times and on B-sites with x + y odd
-    at odd times.
-    """
-    even_site = (site.x + site.y) % 2 == 0
-    if t % 2 == 0:
-        return site.sub == "A" and even_site
-    return site.sub == "B" and not even_site

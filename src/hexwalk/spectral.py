@@ -80,11 +80,23 @@ def _r_diag(a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:
     return np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=-1)
 
 
-def _two_step_matrix(a: float, b: float, coin: CoinMatrix) -> np.ndarray:
-    """The 3x3 matrix U2 at one momentum (a, b)."""
-    fwd = _r_diag(a, b)[:, None] * coin.entries
-    back = _r_diag(-a, -b)[:, None] * coin.entries
-    return back @ fwd
+def _apply_u2(
+    psi: np.ndarray, r: np.ndarray, r_back: np.ndarray, coin: CoinMatrix
+) -> np.ndarray:
+    """Multiply the complex (3, n) columns ``psi`` by U2 = R(-a, -b) C R(a, b) C.
+
+    ``r`` holds the phases of R(a, b) with one column per momentum (or one
+    column shared by all), and ``r_back`` those of R(-a, -b).  The coin is
+    real, so it mixes the (3, 2n) float64 view of the columns with one real
+    matmul.  ``psi`` is overwritten and returned, so a loop of applications
+    keeps only one scratch array alive beside it.
+    """
+    c = coin.entries
+    mid = (c @ psi.view(np.float64)).view(np.complex128)
+    mid *= r
+    np.matmul(c, mid.view(np.float64), out=psi.view(np.float64))
+    psi *= r_back
+    return psi
 
 
 def two_step_operator(m: Momentum, coin: CoinMatrix) -> TwoStepOperator:
@@ -100,7 +112,8 @@ def two_step_operator(m: Momentum, coin: CoinMatrix) -> TwoStepOperator:
     """
     import scipy.linalg  # imported on first use: most CLI runs never need scipy
 
-    matrix = _two_step_matrix(m.a, m.b, coin)
+    r = _r_diag(m.a, m.b)[:, None]
+    matrix = _apply_u2(np.eye(3, dtype=complex), r, r.conj(), coin)
     tri, vecs = scipy.linalg.schur(matrix, output="complex")
     lam = np.diag(tri)
     flat = int(np.argmin(np.abs(lam - 1.0)))
@@ -189,12 +202,10 @@ def inverse_transform_site(
     |x|-bandwidth t and |y|-bandwidth 2t, so the grid sum is exact (up to
     round-off) whenever ``grid_n > 2t + |x| + |y|``; coarser grids alias.
 
-    U2 = R(-a, -b) C R(a, b) C is applied factor by factor to the (3, n)
-    planes of the n = grid_n^2 momentum amplitudes, and no (n, 3, 3) stack
-    is built.  The coin is real, so it mixes the (3, 2n) float64 view of the
-    planes with one real matmul.  At t = 30 on a 96 x 96 grid one call takes
-    5-9 ms on one core.  The grid sum is evaluated in a fixed order, so
-    repeated calls are bit-identical.
+    U2 is applied factor by factor to the (3, n) planes of the
+    n = grid_n^2 momentum amplitudes, and no (n, 3, 3) stack is built.  At
+    t = 30 on a 96 x 96 grid one call takes 5-9 ms on one core.  The grid
+    sum is evaluated in a fixed order, so repeated calls are bit-identical.
     """
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
@@ -206,13 +217,9 @@ def inverse_transform_site(
     b = bb.ravel()
     r = _r_diag(a, b).T
     r_back = r.conj()
-    c = coin.entries
     psi = np.repeat(state.as_array()[:, None], a.size, axis=1)
     for _ in range(t):
-        psi = (c @ psi.view(np.float64)).view(np.complex128)
-        psi *= r
-        psi = (c @ psi.view(np.float64)).view(np.complex128)
-        psi *= r_back
+        _apply_u2(psi, r, r_back, coin)
 
     phase = np.exp(1j * (a * x + b * y))
     return (psi * phase).sum(axis=1) / a.size

@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here shares code with the library's computational paths: the
-stepper is a plain dict scatter driven by the public neighbour map, graph
-distances come from BFS, the Green-integral oracles are a regularized
-two-dimensional Riemann sum and adaptive quadrature (scipy's ``quad`` and
-mpmath's tanh-sinh) of the pointwise difference of two reduced integrands
-(the library integrates each site against an anchor on Gauss-Legendre
-nodes instead), and the flat band of the two-step momentum operator is a
-null vector found by cross products, with no eigensolver.
+Nothing here shares code with the library's computational paths.  The
+stepper is a plain dict scatter through :func:`shift_target`, which reads
+only the library's hop table ``hexwalk.lattice.HOPS``; graph distances come
+from BFS; the Green-integral oracles are a regularized two-dimensional
+Riemann sum and adaptive quadrature (scipy's ``quad`` and mpmath's
+tanh-sinh) of the pointwise difference of two reduced integrands (the
+library integrates each site against an anchor on Gauss-Legendre nodes
+instead); and the two-step momentum operator is one einsum of its
+definition, whose flat band is a null vector found by cross products, with
+no eigensolver.
 """
 
 from __future__ import annotations
@@ -19,7 +21,33 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from hexwalk import Site, shift_target
+from hexwalk import Site
+from hexwalk.lattice import HOPS
+
+
+def shift_target(site: Site, coin_index: int) -> Site:
+    """The neighbour reached from ``site`` along coin direction 0, 1 or 2.
+
+    From A(x, y): coin 0 -> B(x, y+1), coin 1 -> B(x-1, y), coin 2 -> B(x, y-1).
+    From B(x, y): coin 0 -> A(x, y-1), coin 1 -> A(x+1, y), coin 2 -> A(x, y+1).
+    """
+    if coin_index not in (0, 1, 2):
+        raise ValueError(f"coin_index must be 0, 1 or 2, got {coin_index!r}")
+    dx, dy = HOPS[site.sub][coin_index]
+    return Site("B" if site.sub == "A" else "A", site.x + dx, site.y + dy)
+
+
+def support_parity_ok(site: Site, t: int) -> bool:
+    """Whether ``site`` can carry amplitude at step ``t`` of a walk from A(0, 0).
+
+    Each step swaps the sublattice and flips the parity of x + y, so the walk
+    lives on A-sites with x + y even at even t and on B-sites with x + y odd
+    at odd t.
+    """
+    even_site = (site.x + site.y) % 2 == 0
+    if t % 2 == 0:
+        return site.sub == "A" and even_site
+    return site.sub == "B" and not even_site
 
 
 def reference_step(amps: dict, coin_entries: np.ndarray) -> dict:
@@ -143,19 +171,26 @@ def g_difference_mp(x: int, y: int, x1: int, y1: int, c: float, s: float) -> flo
         return float(value)
 
 
+def two_step_matrices(coin_entries: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) stack of U2(a, b) = R(-a, -b) C R(a, b) C, one einsum.
+
+    R(a, b) = diag(e^{-ib}, e^{ia}, e^{ib}) and R(-a, -b) is its conjugate.
+    """
+    r = np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=1)
+    return np.einsum("ni,ij,nj,jk->nik", r.conj(), coin_entries, r, coin_entries)
+
+
 def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:
     """Unit flat-band vectors of U2 on the n x n midpoint grid of [-pi, pi)^2.
 
-    U2(a, b) = R(-a, -b) C R(a, b) C is built from its definition, and the
-    eigenvalue-1 vector is the null vector of U2 - I: the cross product of
-    two of its rows, taking the pair with the largest product so that
-    nearly parallel rows near the zone centre are avoided.
+    U2 comes from :func:`two_step_matrices`, and the eigenvalue-1 vector is
+    the null vector of U2 - I: the cross product of two of its rows, taking
+    the pair with the largest product so that nearly parallel rows near the
+    zone centre are avoided.
     """
     k = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
     a, b = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
-    r = np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=1)
-    u2 = np.einsum("ni,ij,nj,jk->nik", r.conj(), coin_entries, r, coin_entries)
-    m = u2 - np.eye(3)
+    m = two_step_matrices(coin_entries, a, b) - np.eye(3)
     crosses = np.stack(
         [np.cross(m[:, 0], m[:, 1]), np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 0], m[:, 2])],
         axis=1,

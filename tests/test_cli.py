@@ -83,6 +83,7 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", "--theta", "nan", "--state", "0,1,0", "--format", "json"],
     ["limit", "--theta", "inf", "--state", "0,1,0", "--format", "json"],
     ["simulate", "--theta", "1.0", "--state", "nan,0,0", "--t-max", "2"],
+    ["limit", "--theta", "1", "--state", "1e200,0,0"],
     ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3", "--tolerance", "nan"],
     ["simulate", *_GROVER_BETA, "--t-max", "abc"],
     ["simulate", *_GROVER_BETA, "--format", "xml"],
@@ -91,7 +92,7 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", *_GROVER_BETA, "--indices"],
     ["return-series", *_GROVER_BETA, "--window", "3"],
     ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
-], ids=["theta-nan", "theta-inf", "state-nan", "tolerance-nan",
+], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
         "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max"])
 def test_invalid_command_lines_rejected(argv):
@@ -107,11 +108,14 @@ def test_invalid_command_lines_rejected(argv):
     ("simulate", {"t_max": True}),
     ("simulate", {"indices": "no"}),
     ("simulate", {"alpha": [float("nan"), 0.0]}),
+    ("simulate", {"alpha": [1e200, 0.0]}),
+    ("simulate", {"alpha": [1.5e308, 1.5e308]}),
     ("simulate", {"alpha": True, "beta": 0.0}),
     ("simulate", {"output_path": 1}),
     ("compare", {"window": 4}),
 ], ids=["tolerance-string", "theta-list", "t_max-infinity", "t_max-bool",
-        "indices-string", "alpha-nan", "alpha-bool", "output_path-int", "window-past-t_max"])
+        "indices-string", "alpha-nan", "alpha-overflow", "alpha-overflow-complex",
+        "alpha-bool", "output_path-int", "window-past-t_max"])
 def test_badly_typed_config_values_rejected(tmp_path, command, override):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**_BASE_CONFIG, **override}), encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwalk import CoinMatrix, CoinParams, CoinState, build_coin
+from hexwalk import GROVER_THETA, CoinMatrix, CoinParams, CoinState, build_coin
 
 GROVER = np.array([
     [-1 / 3, 2 / 3, 2 / 3],
@@ -37,8 +37,7 @@ class TestCoinParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"theta": math.nan}, {"theta": math.inf}, {"theta": -math.inf},
-        {"theta": 1.0, "c": math.nan}, {"theta": 1.0, "s": math.nan},
-    ], ids=["theta-nan", "theta-inf", "theta-minus-inf", "c-nan", "s-nan"])
+    ], ids=["theta-nan", "theta-inf", "theta-minus-inf"])
     def test_non_finite_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CoinParams(**kwargs)
@@ -47,9 +46,17 @@ class TestCoinParams:
         p = CoinParams(2 * math.pi + 0.5)
         assert abs(p.theta - 0.5) < 1e-12
 
-    def test_inconsistent_overrides_rejected(self):
-        with pytest.raises(ValueError):
-            CoinParams(1.0, c=0.3, s=math.sqrt(1 - 0.09))
+    def test_grover_angle_gives_exact_pair(self):
+        # cos(GROVER_THETA) rounds to -0.33333333333333337; the angle itself
+        # must select the exact pair, so the preset is no special case.
+        p = CoinParams(GROVER_THETA)
+        assert p == CoinParams.grover()
+        assert p.c == -1 / 3
+        assert p.s == 2 * math.sqrt(2) / 3
+
+    def test_cosine_and_sine_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            CoinParams(1.0, c=0.3)
 
 
 class TestCoinState:
@@ -63,6 +70,12 @@ class TestCoinState:
             CoinState(bad, 1.0, 0.0)
         with pytest.raises(ValueError):
             CoinState.normalized(bad, 1.0, 0.0)
+
+    @pytest.mark.parametrize("huge", [1e200, complex(1.5e308, 1.5e308)])
+    def test_overflowing_norm_rejected(self, huge):
+        # |state|^2 overflows to inf: a ValueError, not an OverflowError
+        with pytest.raises(ValueError):
+            CoinState(huge, 0.0, 0.0)
 
     def test_normalized_constructor(self):
         s = CoinState.normalized(1, 1, 1)

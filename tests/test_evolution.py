@@ -16,13 +16,11 @@ from hexwalk import (
     initial_wavefunction,
     origin_amplitudes,
     return_series,
-    shift_target,
     step,
-    support_parity_ok,
 )
 
 from conftest import random_state, random_theta, rows
-from oracles import graph_distances, reference_evolve
+from oracles import graph_distances, reference_evolve, shift_target, support_parity_ok
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
 

@@ -17,6 +17,7 @@ from hexwalk import (
 )
 
 from conftest import random_state, random_theta, rows
+from oracles import two_step_matrices
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +52,17 @@ class TestTwoStepOperator:
         assert abs(op.eigenphases[1] - expected) < 1e-12
         closed = eigenphases_closed_form(m, grover_params)
         assert abs(closed[1] - expected) < 1e-14
+
+    def test_matrix_matches_definition(self):
+        # Pins U2 itself: U2(-a, -b) has the same spectrum, so only the
+        # matrix tells the two apart.
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            coin = build_coin(CoinParams(random_theta(rng)))
+            m = Momentum(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            expected = two_step_matrices(coin.entries, np.array([m.a]), np.array([m.b]))[0]
+            got = two_step_operator(m, coin).matrix
+            assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_unitary_and_eigen_residuals(self):
         rng = np.random.default_rng(17)
