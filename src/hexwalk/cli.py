@@ -17,16 +17,16 @@ malformed command lines included), 2 computation failure, 3 comparison failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .coin import GROVER_THETA, CoinParams, CoinState, build_coin
+from .coin import GROVER_THETA, CoinParams, CoinState, _norm, build_coin
 # ``step`` is unused here but kept: bench/tests/test_bench.py checks hexwalk.cli.step.
 from .evolution import distribution, evolve, origin_amplitudes, return_series, step  # noqa: F401
 from .lattice import physical_coordinates
@@ -113,8 +113,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name)
         return value if value is not None else raw.get(key or name, default)
 
-    preset = setting("preset")
-    theta = setting("theta")
+    # One angle setting: --theta or --preset on the command line hides both config keys.
+    level = vars(args) if args.theta is not None or args.preset is not None else raw
+    theta, preset = level.get("theta"), level.get("preset")
+    if theta is not None and preset is not None:
+        raise ValueError("give the angle as theta or as preset, not both")
     if preset == "grover":
         theta = GROVER_THETA
     elif preset is not None:
@@ -165,8 +168,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     # Built last, so that the checks above report their errors first.
     params = CoinParams(float(theta))
-    # hypot of the six parts: abs() of a complex can overflow where hypot cannot.
-    norm = math.hypot(*(v for z in (alpha, beta, gamma) for v in (z.real, z.imag)))
+    norm = _norm(alpha, beta, gamma)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized within 1e-9, |state| = {norm!r}")
 
@@ -206,27 +208,18 @@ def _state_header(command: str, params: CoinParams, state: CoinState) -> dict:
     }
 
 
+def _write(config: RunConfig, payload: dict, lines: Iterable[str]) -> None:
+    """Write ``payload`` as JSON if the format is json, else the text ``lines``."""
+    text = json.dumps(payload, indent=2) if config.fmt == "json" else "\n".join(lines)
+    _emit(text + "\n", config.output_path)
+
+
 def _write_table(
     config: RunConfig, header: dict, columns: list[str], row_format: str, rows: list
 ) -> None:
     """Write ``rows`` as CSV lines in ``row_format``, or as JSON after ``header``."""
-    if config.fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [row_format.format(*r) for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {**header, "columns": columns, "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, config.output_path)
-
-
-def _write_report(config: RunConfig, payload: dict, lines: list[str]) -> None:
-    """Write a report as JSON ``payload`` or as the text ``lines``."""
-    if config.fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.output_path)
+    lines = itertools.chain([",".join(columns)], (row_format.format(*r) for r in rows))
+    _write(config, {**header, "columns": columns, "rows": rows}, lines)
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -278,11 +271,7 @@ def cmd_limit(config: RunConfig) -> int:
         "limit": amp.norm_squared(),
         "delta": delta_weight(params, state),
         "delocalized": delocalization_condition(params, state),
-        "origin_amplitude": [
-            _complex_pair(amp.psi0),
-            _complex_pair(amp.psi1),
-            _complex_pair(amp.psi2),
-        ],
+        "origin_amplitude": [_complex_pair(z) for z in (amp.psi0, amp.psi1, amp.psi2)],
     }
     lines = [
         f"theta        = {payload['theta']:.12g}",
@@ -294,7 +283,7 @@ def cmd_limit(config: RunConfig) -> int:
     ]
     for label, pair in zip(("psi0", "psi1", "psi2"), payload["origin_amplitude"]):
         lines.append(f"  {label} = {pair[0]:+.12g} {pair[1]:+.12g}i")
-    _write_report(config, payload, lines)
+    _write(config, payload, lines)
     return EXIT_OK
 
 
@@ -343,7 +332,7 @@ def cmd_compare(config: RunConfig) -> int:
         + ", ".join(f"{e:.3e}" for e in payload["amplitude_abs_error"]),
         f"status     = {payload['status']} (tolerance {config.tolerance:g})",
     ]
-    _write_report(config, payload, lines)
+    _write(config, payload, lines)
     return EXIT_OK if passed else EXIT_COMPARISON_FAILED
 
 

@@ -2,10 +2,11 @@
 
 The internal state of the walker is a qutrit whose basis directions select
 the three lattice moves.  The one-parameter coin family is a real symmetric
-orthogonal 3x3 matrix built from ``c = cos(theta)`` and ``s = sin(theta)``;
-at ``c = -1/3`` it reduces to the standard three-dimensional Grover
-diffusion matrix.  The angles ``theta = 0`` and ``theta = pi`` are rejected:
-there the coin degenerates and the walk is trivial.
+orthogonal 3x3 matrix built from ``c = cos(theta)`` and ``s = sin(theta)``,
+and the coin is that matrix itself, a read-only float64 array.  At
+``c = -1/3`` it reduces to the standard three-dimensional Grover diffusion
+matrix.  The angles ``theta = 0`` and ``theta = pi`` are rejected: there
+the coin degenerates and the walk is trivial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 __all__ = [
     "CoinParams",
     "CoinState",
-    "CoinMatrix",
     "GROVER_THETA",
     "build_coin",
 ]
@@ -81,10 +81,8 @@ class CoinState:
         alpha = complex(self.alpha)
         beta = complex(self.beta)
         gamma = complex(self.gamma)
-        # hypot, then squared by multiplication: a huge amplitude gives inf
-        # and fails the check below, where abs() or ** would raise OverflowError.
-        norm = math.hypot(*(v for z in (alpha, beta, gamma) for v in (z.real, z.imag)))
-        norm_sq = norm * norm
+        norm = _norm(alpha, beta, gamma)
+        norm_sq = norm * norm  # inf for a huge norm, where ** would raise OverflowError
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(
                 f"coin state must be finite and normalized, |state|^2 = {norm_sq!r}"
@@ -95,7 +93,18 @@ class CoinState:
 
     @classmethod
     def normalized(cls, alpha: complex, beta: complex, gamma: complex) -> "CoinState":
-        """Build a state from an arbitrary non-zero triple, rescaling to unit norm."""
+        """Build a state from an arbitrary non-zero triple, rescaling to unit norm.
+
+        A triple whose largest finite part lies outside [2**-500, 2**500] is first
+        scaled by a power of two, which is exact, so that its squares stay finite and
+        non-zero.  Other triples keep the plain arithmetic, which sets the printed state.
+        """
+        parts = [v for z in (alpha, beta, gamma) for v in (z.real, z.imag)]
+        big = max((abs(v) for v in parts if math.isfinite(v)), default=0.0)
+        if big and not 2.0**-500 <= big <= 2.0**500:
+            k = -math.frexp(big)[1]
+            alpha, beta, gamma = (complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                                  for z in (alpha, beta, gamma))
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero state")
@@ -111,22 +120,13 @@ class CoinState:
         return np.array([self.alpha, self.beta, self.gamma], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class CoinMatrix:
-    """The 3x3 real coin matrix: symmetric and orthogonal, hence involutory."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (3, 3):
-            raise ValueError(f"coin matrix must be 3x3, got shape {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+def _norm(alpha: complex, beta: complex, gamma: complex) -> float:
+    """|(alpha, beta, gamma)| as the hypot of the six real parts: inf, never an OverflowError."""
+    return math.hypot(*(v for z in (alpha, beta, gamma) for v in (z.real, z.imag)))
 
 
-def build_coin(params: CoinParams) -> CoinMatrix:
-    """Construct the coin matrix for the given mixing angle.
+def build_coin(params: CoinParams) -> np.ndarray:
+    """The coin matrix for the given mixing angle, a read-only 3x3 float64 array.
 
     The matrix is
 
@@ -140,11 +140,12 @@ def build_coin(params: CoinParams) -> CoinMatrix:
     """
     c, s = params.c, params.s
     h = s / math.sqrt(2.0)
-    entries = np.array(
+    coin = np.array(
         [
             [-(1.0 + c) / 2.0, h, (1.0 - c) / 2.0],
             [h, c, h],
             [(1.0 - c) / 2.0, h, -(1.0 + c) / 2.0],
         ]
     )
-    return CoinMatrix(entries)
+    coin.setflags(write=False)
+    return coin

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .coin import CoinMatrix, CoinState
+from .coin import CoinState
 from .lattice import HOPS, Site, Sublattice, _hop_distance
 
 __all__ = [
@@ -123,7 +123,7 @@ def initial_wavefunction(state: CoinState) -> WaveFunction:
     return WaveFunction("A", xy, values, 0)
 
 
-def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
+def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
@@ -133,7 +133,7 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     place makes the window the row lookup for the copy.  The total norm is
     kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
-    mixed = wf.values @ coin.entries.T
+    mixed = wf.values @ coin.T
     xs, ys = wf.xy[:, 0], wf.xy[:, 1]
     # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
     lo = np.array([xs[0], ys.min()]) - 1
@@ -153,7 +153,7 @@ def step(wf: WaveFunction, coin: CoinMatrix) -> WaveFunction:
     return WaveFunction(out_sub, xy, values, wf.t + 1)
 
 
-def evolve(state: CoinState, t: int, coin: CoinMatrix) -> WaveFunction:
+def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
     """Run ``t`` steps from the origin with the given initial coin state."""
     if t < 0:
         raise ValueError("step count must be non-negative")
@@ -171,7 +171,7 @@ def distribution(wf: WaveFunction) -> Distribution:
 
 
 def origin_amplitudes(
-    state: CoinState, t_max: int, coin: CoinMatrix
+    state: CoinState, t_max: int, coin: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, amplitude triple at the origin)`` for t = 0, 2, ... up to ``t_max``.
 
@@ -203,7 +203,7 @@ def origin_amplitudes(
 
 
 def return_series(
-    state: CoinState, t_max: int, coin: CoinMatrix
+    state: CoinState, t_max: int, coin: np.ndarray
 ) -> list[tuple[int, float]]:
     """Probability of observing the walker back at the origin at even times.
 

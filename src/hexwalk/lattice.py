@@ -53,8 +53,7 @@ def _hop_distance(sublattice: Sublattice, xy: np.ndarray) -> np.ndarray:
 class Site:
     """A lattice vertex: sublattice tag plus integer indices.
 
-    Ordering is lexicographic in (sub, x, y), which is the canonical
-    site order used for deterministic accumulation and file output.
+    Ordering is lexicographic in (sub, x, y).
     """
 
     sub: Sublattice

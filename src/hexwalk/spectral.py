@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinMatrix, CoinParams, CoinState
+from .coin import CoinParams, CoinState
 
 __all__ = [
     "Momentum",
@@ -81,7 +81,7 @@ def _r_diag(a: float | np.ndarray, b: float | np.ndarray) -> np.ndarray:
 
 
 def _apply_u2(
-    psi: np.ndarray, r: np.ndarray, r_back: np.ndarray, coin: CoinMatrix
+    psi: np.ndarray, r: np.ndarray, r_back: np.ndarray, coin: np.ndarray
 ) -> np.ndarray:
     """Multiply the complex (3, n) columns ``psi`` by U2 = R(-a, -b) C R(a, b) C.
 
@@ -91,15 +91,14 @@ def _apply_u2(
     matmul.  ``psi`` is overwritten and returned, so a loop of applications
     keeps only one scratch array alive beside it.
     """
-    c = coin.entries
-    mid = (c @ psi.view(np.float64)).view(np.complex128)
+    mid = (coin @ psi.view(np.float64)).view(np.complex128)
     mid *= r
-    np.matmul(c, mid.view(np.float64), out=psi.view(np.float64))
+    np.matmul(coin, mid.view(np.float64), out=psi.view(np.float64))
     psi *= r_back
     return psi
 
 
-def two_step_operator(m: Momentum, coin: CoinMatrix) -> TwoStepOperator:
+def two_step_operator(m: Momentum, coin: np.ndarray) -> TwoStepOperator:
     """Build U2(a, b) and its eigen-decomposition at one momentum point.
 
     The decomposition uses a complex Schur factorization: for a unitary
@@ -164,7 +163,7 @@ def eigenphases_closed_form(
 
 
 def fourier_evolve(
-    state: CoinState, t: int, m: Momentum, coin: CoinMatrix
+    state: CoinState, t: int, m: Momentum, coin: np.ndarray
 ) -> np.ndarray:
     """Momentum amplitude after ``t`` step pairs: U2(a, b)^t applied to the state.
 
@@ -189,7 +188,7 @@ def inverse_transform_site(
     x: int,
     y: int,
     grid_n: int,
-    coin: CoinMatrix,
+    coin: np.ndarray,
 ) -> np.ndarray:
     """Real-space amplitude at A(x, y) after ``t`` step pairs, via momentum.
 

@@ -50,11 +50,11 @@ def support_parity_ok(site: Site, t: int) -> bool:
     return site.sub == "B" and not even_site
 
 
-def reference_step(amps: dict, coin_entries: np.ndarray) -> dict:
+def reference_step(amps: dict, coin: np.ndarray) -> dict:
     """One walk step as a literal per-site scatter into a fresh dict."""
     out: dict = {}
     for site, v in amps.items():
-        mixed = coin_entries @ v
+        mixed = coin @ v
         for j in range(3):
             target = shift_target(site, j)
             acc = out.setdefault(target, np.zeros(3, dtype=complex))
@@ -62,11 +62,11 @@ def reference_step(amps: dict, coin_entries: np.ndarray) -> dict:
     return out
 
 
-def reference_evolve(state_triple, t: int, coin_entries: np.ndarray) -> dict:
+def reference_evolve(state_triple, t: int, coin: np.ndarray) -> dict:
     """Evolve a walk from the origin with the dict stepper."""
     amps = {Site.a(0, 0): np.asarray(state_triple, dtype=complex)}
     for _ in range(t):
-        amps = reference_step(amps, coin_entries)
+        amps = reference_step(amps, coin)
     return amps
 
 
@@ -171,16 +171,16 @@ def g_difference_mp(x: int, y: int, x1: int, y1: int, c: float, s: float) -> flo
         return float(value)
 
 
-def two_step_matrices(coin_entries: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def two_step_matrices(coin: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (n, 3, 3) stack of U2(a, b) = R(-a, -b) C R(a, b) C, one einsum.
 
     R(a, b) = diag(e^{-ib}, e^{ia}, e^{ib}) and R(-a, -b) is its conjugate.
     """
     r = np.stack([np.exp(-1j * b), np.exp(1j * a), np.exp(1j * b)], axis=1)
-    return np.einsum("ni,ij,nj,jk->nik", r.conj(), coin_entries, r, coin_entries)
+    return np.einsum("ni,ij,nj,jk->nik", r.conj(), coin, r, coin)
 
 
-def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:
+def flat_band_vectors(coin: np.ndarray, n: int) -> np.ndarray:
     """Unit flat-band vectors of U2 on the n x n midpoint grid of [-pi, pi)^2.
 
     U2 comes from :func:`two_step_matrices`, and the eigenvalue-1 vector is
@@ -190,7 +190,7 @@ def flat_band_vectors(coin_entries: np.ndarray, n: int) -> np.ndarray:
     """
     k = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
     a, b = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
-    m = two_step_matrices(coin_entries, a, b) - np.eye(3)
+    m = two_step_matrices(coin, a, b) - np.eye(3)
     crosses = np.stack(
         [np.cross(m[:, 0], m[:, 1]), np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 0], m[:, 2])],
         axis=1,

@@ -92,9 +92,11 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["limit", *_GROVER_BETA, "--indices"],
     ["return-series", *_GROVER_BETA, "--window", "3"],
     ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
+    ["limit", "--theta", "1", *_GROVER_BETA],
 ], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
-        "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max"])
+        "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max",
+        "theta-and-preset"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
@@ -113,9 +115,10 @@ def test_invalid_command_lines_rejected(argv):
     ("simulate", {"alpha": True, "beta": 0.0}),
     ("simulate", {"output_path": 1}),
     ("compare", {"window": 4}),
+    ("simulate", {"preset": "grover"}),
 ], ids=["tolerance-string", "theta-list", "t_max-infinity", "t_max-bool",
         "indices-string", "alpha-nan", "alpha-overflow", "alpha-overflow-complex",
-        "alpha-bool", "output_path-int", "window-past-t_max"])
+        "alpha-bool", "output_path-int", "window-past-t_max", "theta-and-preset"])
 def test_badly_typed_config_values_rejected(tmp_path, command, override):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**_BASE_CONFIG, **override}), encoding="utf-8")
@@ -149,6 +152,20 @@ def test_compare_window_may_span_every_even_time():
     report = json.loads(out)
     assert report["window"] == 3
     assert report["p_origin_mean"] == pytest.approx(sum(p for _, p in series) / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("flags, config_key, theta", [
+    (["--theta", "1.0"], {"preset": "grover"}, 1.0),
+    (["--preset", "grover"], {"theta": 1.0}, hexwalk.GROVER_THETA),
+], ids=["theta-flag-over-config-preset", "preset-flag-over-config-theta"])
+def test_angle_flag_beats_either_config_key(tmp_path, flags, config_key, theta):
+    # --theta and --preset are one setting: a flag hides both config keys
+    config = tmp_path / "config.json"
+    state = {"alpha": [0, 0], "beta": [1, 0], "gamma": [0, 0]}
+    config.write_text(json.dumps({**config_key, **state}), encoding="utf-8")
+    out, err, code = run_cli(["limit", "--config", str(config), *flags, "--format", "json"])
+    assert (err, code) == ("", 0)
+    assert json.loads(out)["theta"] == theta
 
 
 def test_unread_config_keys_ignored(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwalk import GROVER_THETA, CoinMatrix, CoinParams, CoinState, build_coin
+from hexwalk import GROVER_THETA, CoinParams, CoinState, build_coin
 
 GROVER = np.array([
     [-1 / 3, 2 / 3, 2 / 3],
@@ -94,21 +94,43 @@ class TestCoinState:
         with pytest.raises(ValueError):
             CoinState.normalized(0, 0, 0)
 
+    @pytest.mark.parametrize("triple, expected", [
+        ((1e200, 1.0, 0.0), (1.0, 1e-200, 0.0)),
+        ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((complex(1.5e308, 1.5e308), 0.0, 0.0), ((1 + 1j) / math.sqrt(2), 0.0, 0.0)),
+    ], ids=["huge", "tiny", "huge-complex"])
+    def test_normalized_at_extremes(self, triple, expected):
+        # the squared norm of these finite triples overflows or underflows
+        s = CoinState.normalized(*triple)
+        for got, want in zip((s.alpha, s.beta, s.gamma), expected):
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_normalized_arithmetic_unchanged_on_ordinary_triples(self):
+        # these triples skip the power-of-two scaling: the plain formula sets
+        # the printed state, so it must be kept bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            parts = rng.normal(size=6) * 10.0 ** rng.uniform(-140, 140, size=6)
+            alpha, beta, gamma = (complex(re, im) for re, im in parts.reshape(3, 2))
+            norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
+            s = CoinState.normalized(alpha, beta, gamma)
+            assert repr((s.alpha, s.beta, s.gamma)) == repr((alpha / norm, beta / norm, gamma / norm))
+
 
 class TestBuildCoin:
     def test_grover_matrix(self):
         coin = build_coin(CoinParams.grover())
-        np.testing.assert_allclose(coin.entries, GROVER, atol=1e-15)
+        np.testing.assert_allclose(coin, GROVER, atol=1e-15)
 
     def test_theta_half_pi_matrix(self):
         coin = build_coin(CoinParams(math.pi / 2))
         r = 1 / math.sqrt(2)
         expected = np.array([[-0.5, r, 0.5], [r, 0.0, r], [0.5, r, -0.5]])
-        np.testing.assert_allclose(coin.entries, expected, atol=1e-15)
+        np.testing.assert_allclose(coin, expected, atol=1e-15)
 
     def test_symmetric_by_construction(self):
         coin = build_coin(CoinParams(2.3))
-        assert np.array_equal(coin.entries, coin.entries.T)
+        assert np.array_equal(coin, coin.T)
 
     def test_random_angles_orthogonal_symmetric_involutory(self):
         rng = np.random.default_rng(7)
@@ -116,37 +138,35 @@ class TestBuildCoin:
             theta = rng.uniform(0.01, 2 * math.pi - 0.01)
             if abs(theta - math.pi) < 0.01:
                 continue
-            m = build_coin(CoinParams(theta)).entries
+            m = build_coin(CoinParams(theta))
             np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-12)
             assert np.array_equal(m, m.T)
             np.testing.assert_allclose(m @ m, np.eye(3), atol=1e-12)
 
-    def test_matrix_shape_validated(self):
-        with pytest.raises(ValueError):
-            CoinMatrix(np.eye(2))
-
     def test_entries_read_only(self):
         coin = build_coin(CoinParams.grover())
+        assert isinstance(coin, np.ndarray)
+        assert (coin.shape, coin.dtype) == ((3, 3), np.float64)
         with pytest.raises(ValueError):
-            coin.entries[0, 0] = 0.0
+            coin[0, 0] = 0.0
 
 
 class TestApplyCoin:
-    """The coin product `CoinMatrix.entries @ v` (there is no separate function)."""
+    """The coin product `coin @ v` of the build_coin array (there is no separate function)."""
 
     def test_column_extraction(self, grover_coin):
-        out = grover_coin.entries @ np.array([0.0, 1.0, 0.0])
+        out = grover_coin @ np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [2 / 3, -1 / 3, 2 / 3], atol=1e-15)
 
     def test_involution(self, grover_coin):
         rng = np.random.default_rng(3)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        np.testing.assert_allclose(grover_coin.entries @ (grover_coin.entries @ v), v, atol=1e-12)
+        np.testing.assert_allclose(grover_coin @ (grover_coin @ v), v, atol=1e-12)
 
     def test_uniform_vector_is_grover_fixed_point(self, grover_coin):
         v = np.full(3, 1 / math.sqrt(3))
-        np.testing.assert_allclose(grover_coin.entries @ v, v, atol=1e-15)
+        np.testing.assert_allclose(grover_coin @ v, v, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(theta=admitted_angles, seed=st.integers(0, 2**31))
@@ -154,5 +174,5 @@ class TestApplyCoin:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        out = build_coin(CoinParams(theta)).entries @ v
+        out = build_coin(CoinParams(theta)) @ v
         assert abs(np.linalg.norm(out) - 1.0) < 1e-13

@@ -63,7 +63,7 @@ class TestStep:
             params = CoinParams(random_theta(rng))
             coin = build_coin(params)
             state = random_state(rng)
-            mixed = coin.entries @ state.as_array()
+            mixed = coin @ state.as_array()
             expected = np.array([
                 -(1 + params.c) / 2 * mixed[0],
                 params.c * mixed[1],
@@ -89,7 +89,7 @@ class TestStep:
             for t in range(10):
                 if t:
                     wf = step(wf, coin)
-                ref = reference_evolve(state.as_array(), t, coin.entries)
+                ref = reference_evolve(state.as_array(), t, coin)
                 assert set(rows(wf)) == set(ref)
                 nx, ny = t // 2 + 2, t + 2
                 box = [
@@ -116,7 +116,7 @@ class TestStep:
         wf = step(WaveFunction("A", [[x, y]], [values], 0), grover_coin)
         targets = [shift_target(Site.a(x, y), j) for j in range(3)]
         assert list(rows(wf)) == sorted(targets)
-        mixed = grover_coin.entries @ values
+        mixed = grover_coin @ values
         for j, site in enumerate(targets):
             expected = np.zeros(3, dtype=complex)
             expected[j] = mixed[j]

@@ -340,7 +340,7 @@ class TestFlatBandProjection:
     def test_origin_laws_match_projector_mean(self, theta):
         params = CoinParams(theta)
         state = random_state(np.random.default_rng(int(10 * theta)))
-        v = flat_band_vectors(build_coin(params).entries, 256)
+        v = flat_band_vectors(build_coin(params), 256)
         overlap = v.conj() @ state.as_array()
         projected = (v * overlap[:, None]).mean(axis=0)
         closed = asymptotic_origin_amplitude(params, state).as_array()

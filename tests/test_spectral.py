@@ -60,7 +60,7 @@ class TestTwoStepOperator:
         for _ in range(30):
             coin = build_coin(CoinParams(random_theta(rng)))
             m = Momentum(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
-            expected = two_step_matrices(coin.entries, np.array([m.a]), np.array([m.b]))[0]
+            expected = two_step_matrices(coin, np.array([m.a]), np.array([m.b]))[0]
             got = two_step_operator(m, coin).matrix
             assert np.max(np.abs(got - expected)) < 1e-14
 
