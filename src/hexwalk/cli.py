@@ -102,7 +102,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file is nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("config file must contain a JSON object")
 
@@ -357,19 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--theta", type=float, default=None, help="coin angle in radians")
-        p.add_argument(
-            "--preset", choices=("grover",), default=None,
-            help="named coin preset (grover: c = -1/3)",
-        )
+        p.add_argument("--preset", default=None, help="named coin preset (grover: c = -1/3)")
         p.add_argument(
             "--state", default=None, metavar="A,B,C",
             help="real initial coin amplitudes, comma separated",
         )
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json", "text"), default=None,
-                       help="output format: csv or json for tables (default csv), "
-                       "text or json for reports (default text)")
+        p.add_argument("--format", default=None, help="output format: "
+                       f"{' or '.join(_FORMATS[name])} (default {_FORMATS[name][0]})")
         # Only the flags this command reads, so that any other one is an error.
         if name != "limit":
             p.add_argument("--t-max", dest="t_max", type=int, default=None,

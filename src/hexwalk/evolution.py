@@ -13,10 +13,10 @@ its rows come out sorted.  The scatter is collision-free -- each (site,
 component) pair receives exactly one contribution -- so values are copied,
 never summed, and are reproducible bit for bit.
 
-The origin stream steps only the backward light cone of its last read:
-after step t it drops the rows more than ``t_max - t`` hops out.  The coin
-mixes each row alone and the scatter only copies, so the stream is the same
-bit for bit as that of a full evolution.
+The origin stream stops at the last even time ``last`` and, after each even
+step t, drops the A-rows more than ``last - t`` hops out.  The coin mixes
+each row alone and the scatter only copies, so the stream is the same bit
+for bit as that of a full evolution.
 """
 
 from __future__ import annotations
@@ -176,29 +176,29 @@ def origin_amplitudes(
     """Yield ``(t, amplitude triple at the origin)`` for t = 0, 2, ... up to ``t_max``.
 
     One evolution pass produces the whole stream.  Odd times are skipped:
-    the origin sits on the A-sublattice, which carries no amplitude there.
-    ``t_max`` is checked when the first item is requested.
+    the origin sits on the A-sublattice, which carries no amplitude there,
+    so the pass ends at ``last = t_max - t_max % 2``.  ``t_max`` is checked
+    when the first item is requested.
 
-    Only the backward light cone of the last origin read is stepped: a hop
-    moves the walker one graph edge, so after step ``t`` the rows more than
-    ``t_max - t`` hops from the origin are dropped.  Their amplitudes can
-    never reach the origin again, and every kept amplitude is computed
-    exactly as in :func:`evolve` (the coin mixes each row alone and the
-    scatter only copies), so the stream is bit for bit the same.
+    Only the backward light cone of the last read is stepped: a hop moves
+    the walker one graph edge, so after each even step ``t`` the rows more
+    than ``last - t`` hops out are dropped (B-states are not cropped).  They
+    can never reach the origin again, and every kept amplitude is computed
+    exactly as in :func:`evolve`, so the stream is bit for bit the same.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
+    last = t_max - t_max % 2
     origin = Site.a(0, 0)
     wf = initial_wavefunction(state)
     yield 0, wf.amplitude(origin)
-    for t in range(1, t_max + 1):
+    for t in range(1, last + 1):
         wf = step(wf, coin)
-        # Rows lie at most t hops out, so only the second half crops; never
-        # after the last step, where a radius-0 crop of a B-state is empty.
-        if t_max - t < t < t_max:
-            keep = np.flatnonzero(_hop_distance(wf.sublattice, wf.xy) <= t_max - t)
-            wf = WaveFunction(wf.sublattice, wf.xy[keep], wf.values[keep], t)
         if t % 2 == 0:
+            # Rows lie at most t hops out, so only the second half crops.
+            if last - t < t:
+                keep = np.flatnonzero(_hop_distance(wf.xy) <= last - t)
+                wf = WaveFunction(wf.sublattice, wf.xy[keep], wf.values[keep], t)
             yield t, wf.amplitude(origin)
 
 

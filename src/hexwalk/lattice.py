@@ -32,21 +32,15 @@ SQRT3_HALF = sqrt(3.0) / 2.0
 HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
 
 
-def _hop_distance(sublattice: Sublattice, xy: np.ndarray) -> np.ndarray:
-    """Graph distance from A(0, 0) to each row of ``xy`` on ``sublattice``.
+def _hop_distance(xy: np.ndarray) -> np.ndarray:
+    """Graph distance from A(0, 0) to the A-site at each row of ``xy``.
 
     Two hops move an A-site by (0, +-2) or (+-1, +-1), so A(x, y) is
-    max(2|x|, |x| + |y|) hops away.  B(x, y) is one hop past the nearest of
-    its ``HOPS`` neighbours A(x, y - 1), A(x + 1, y) and A(x, y + 1); of the
-    two in column x, A(x, |y| - 1) is the nearer.  Exact on the sites a walk
-    from the origin can occupy: A-sites with x + y even, B-sites with x + y odd.
+    max(2|x|, |x| + |y|) hops away.  Exact on the A-sites a walk from the
+    origin can occupy, those with x + y even.
     """
     x, y = np.abs(xy[:, 0]), np.abs(xy[:, 1])
-    if sublattice == "A":
-        return np.maximum(2 * x, x + y)
-    x1 = np.abs(xy[:, 0] + 1)
-    column = np.maximum(2 * x, x + np.abs(y - 1))
-    return 1 + np.minimum(column, np.maximum(2 * x1, x1 + y))
+    return np.maximum(2 * x, x + y)
 
 
 @dataclass(frozen=True, order=True)

@@ -93,10 +93,11 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["return-series", *_GROVER_BETA, "--window", "3"],
     ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
     ["limit", "--theta", "1", *_GROVER_BETA],
+    ["limit", "--preset", "foo", "--state", "0,1,0"],
 ], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
         "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max",
-        "theta-and-preset"])
+        "theta-and-preset", "preset-unknown"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
@@ -125,6 +126,19 @@ def test_badly_typed_config_values_rejected(tmp_path, command, override):
     out, err, code = run_cli([command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,
+    '{"theta": 1.0, "alpha": ' + "[" * 200000 + "]" * 200000 + ', "beta": 1, "gamma": 0}',
+], ids=["top-level", "in-a-key"])
+def test_deeply_nested_config_rejected(tmp_path, text):
+    # json.load gives up with RecursionError, which json.dumps cannot provoke
+    config = tmp_path / "deep.json"
+    config.write_text(text, encoding="utf-8")
+    out, err, code = run_cli(["limit", "--theta", "1", "--state", "0,1,0", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "error: config file is nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -242,10 +242,13 @@ class TestReturnSeries:
                     full = evolve(state, t, coin).amplitude(Site.a(0, 0))
                     assert amp.tobytes() == full.tobytes(), (params.theta, t_max, t)
 
-    def test_steps_only_the_backward_light_cone(self, grover_coin, monkeypatch):
+    @pytest.mark.parametrize("t_max", [40, 41])
+    def test_steps_only_the_backward_light_cone(self, grover_coin, monkeypatch, t_max):
         # the state stepped at time t holds the occupied sites (d <= t, d = t
-        # mod 2, with d the BFS distance) that are at most t_max - t hops out
-        t_max = 40
+        # mod 2, with d the BFS distance) that are at most last - t hops out
+        # at even t, where the A-state was cropped, and last - t + 2 at odd t,
+        # one uncropped step after that crop
+        last = t_max - t_max % 2
         sizes = []
         real_step = hexwalk.evolution.step
 
@@ -255,12 +258,28 @@ class TestReturnSeries:
 
         monkeypatch.setattr(hexwalk.evolution, "step", recording_step)
         list(origin_amplitudes(CoinState.uniform(), t_max, grover_coin))
-        dist = graph_distances(t_max).values()
+        dist = graph_distances(last).values()
         expected = [
-            sum(1 for d in dist if d <= min(t, t_max - t) and (t - d) % 2 == 0)
-            for t in range(t_max)
+            sum(1 for d in dist if d <= min(t, last - t + 2 * (t % 2)) and (t - d) % 2 == 0)
+            for t in range(last)
         ]
         assert sizes == expected
+
+    def test_odd_t_max_stops_at_the_last_even_step(self, grover_coin, monkeypatch):
+        # step t_max would reach the B-sublattice, which the stream never reads
+        calls = []
+        real_step = hexwalk.evolution.step
+
+        def counting_step(wf, coin):
+            calls.append(wf.t)
+            return real_step(wf, coin)
+
+        monkeypatch.setattr(hexwalk.evolution, "step", counting_step)
+        state = CoinState(0.6, 0.0, 0.8)
+        odd = list(origin_amplitudes(state, 41, grover_coin))
+        assert len(calls) == 40
+        even = list(origin_amplitudes(state, 40, grover_coin))
+        assert [(t, amp.tobytes()) for t, amp in odd] == [(t, amp.tobytes()) for t, amp in even]
 
     def test_negative_t_rejected(self, grover_coin):
         with pytest.raises(ValueError):

@@ -244,6 +244,18 @@ class TestAsymptoticAmplitude:
         down = asymptotic_amplitude(1, -1, grover_params, BETA_STATE)
         np.testing.assert_allclose(up, down[::-1], atol=1e-10)
 
+    def test_kernel_cache_holds_a_repeated_map(self):
+        # a second identical pass over more (coin, nodes) entries than a
+        # small cache holds recomputes no kernel
+        coins = [CoinParams(0.5 + 0.25 * k) for k in range(10)]
+        hexwalk.limits._kernel.cache_clear()
+        first = [asymptotic_amplitude(1, 1, params, BETA_STATE) for params in coins]
+        misses = hexwalk.limits._kernel.cache_info().misses
+        assert misses > 16
+        second = [asymptotic_amplitude(1, 1, params, BETA_STATE) for params in coins]
+        assert hexwalk.limits._kernel.cache_info().misses == misses
+        np.testing.assert_array_equal(first, second)
+
     @pytest.mark.parametrize(
         "theta, state",
         [
