@@ -11,7 +11,8 @@ simulate and return-series write tables as csv (the default) or json;
 limit and compare write reports as text (the default) or json.  The model
 is deterministic, so identical configurations produce byte-identical
 output files.  Exit codes: 0 success, 1 invalid input (one ``error:`` line,
-malformed command lines included), 2 computation failure, 3 comparison failure.
+malformed command lines and runs too large for memory included), 3 comparison
+failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .coin import GROVER_THETA, CoinParams, CoinState, _norm, build_coin
 from .evolution import distribution, evolve, origin_amplitudes, return_series, step  # noqa: F401
 from .lattice import physical_coordinates
 from .limits import (
-    QuadratureError,
     a_theta,
     asymptotic_origin_amplitude,
     delocalization_condition,
@@ -50,7 +50,6 @@ __all__ = [
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
-EXIT_COMPUTATION_FAILURE = 2
 EXIT_COMPARISON_FAILED = 3
 
 
@@ -397,12 +396,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         return _COMMANDS[args.command](config)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
+        if isinstance(exc, MemoryError):  # numpy's names the allocation, a bare one nothing
+            exc = f"out of memory: {exc}" if str(exc) else "out of memory"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (QuadratureError, FloatingPointError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION_FAILURE
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ the three lattice moves.  The one-parameter coin family is a real symmetric
 orthogonal 3x3 matrix built from ``c = cos(theta)`` and ``s = sin(theta)``,
 and the coin is that matrix itself, a read-only float64 array.  At
 ``c = -1/3`` it reduces to the standard three-dimensional Grover diffusion
-matrix.  The angles ``theta = 0`` and ``theta = pi`` are rejected: there
-the coin degenerates and the walk is trivial.
+matrix.  Angles whose cosine rounds to +-1, within about 1.05e-8 of 0 or
+pi, are rejected: the coin degenerates and the laws divide by ``1 - c``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_DEGENERATE_TOL = 1e-12
 
 #: Angle at which the coin family reduces to the Grover diffusion matrix.
 GROVER_THETA = math.acos(-1.0 / 3.0)
@@ -38,8 +37,8 @@ class CoinParams:
     recomputed by consumers) so that every module works from bit-identical
     values.  At ``GROVER_THETA`` they are the exact c = -1/3 and
     s = 2*sqrt(2)/3, not the rounded cosine and sine.  The angle must be
-    finite and is reduced into [0, 2*pi); values within 1e-12 of 0 or pi
-    are rejected.
+    finite and is reduced into [0, 2*pi); an angle whose cosine rounds to
+    +-1, within about 1.05e-8 of 0 or pi, is rejected.
     """
 
     theta: float
@@ -51,14 +50,14 @@ class CoinParams:
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         theta %= _TWO_PI
-        if min(theta, abs(theta - math.pi), _TWO_PI - theta) < _DEGENERATE_TOL:
-            raise ValueError(
-                f"theta={self.theta!r} is degenerate: angles 0 and pi are not admitted"
-            )
         if theta == GROVER_THETA:
             c, s = -1.0 / 3.0, 2.0 * math.sqrt(2.0) / 3.0
         else:
             c, s = math.cos(theta), math.sin(theta)
+        if abs(c) == 1.0:
+            raise ValueError(
+                f"theta={self.theta!r} is degenerate: angles 0 and pi are not admitted"
+            )
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)

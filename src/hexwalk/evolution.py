@@ -13,10 +13,10 @@ its rows come out sorted.  The scatter is collision-free -- each (site,
 component) pair receives exactly one contribution -- so values are copied,
 never summed, and are reproducible bit for bit.
 
-The origin stream stops at the last even time ``last`` and, after each even
-step t, drops the A-rows more than ``last - t`` hops out.  The coin mixes
-each row alone and the scatter only copies, so the stream is the same bit
-for bit as that of a full evolution.
+The origin stream takes two steps per even time t up to the last one,
+``last``, and then drops the A-rows more than ``last - t`` hops out.  The
+coin mixes each row alone and the scatter only copies, so the stream is the
+same bit for bit as that of a full evolution.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class _SiteTable:
     _row_shape: ClassVar[tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        if self.sublattice not in HOPS:
+            raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sublattice!r}")
         xy = np.ascontiguousarray(self.xy, dtype=np.int64)
         values = np.ascontiguousarray(self.values, dtype=self._dtype)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *self._row_shape):
@@ -133,6 +135,8 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     place makes the window the row lookup for the copy.  The total norm is
     kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
+    if not len(wf):
+        raise ValueError("cannot step an empty wave function")
     mixed = wf.values @ coin.T
     xs, ys = wf.xy[:, 0], wf.xy[:, 1]
     # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
@@ -175,10 +179,10 @@ def origin_amplitudes(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, amplitude triple at the origin)`` for t = 0, 2, ... up to ``t_max``.
 
-    One evolution pass produces the whole stream.  Odd times are skipped:
-    the origin sits on the A-sublattice, which carries no amplitude there,
-    so the pass ends at ``last = t_max - t_max % 2``.  ``t_max`` is checked
-    when the first item is requested.
+    One evolution pass, two steps per yielded time, produces the whole
+    stream.  Odd times are skipped: the origin sits on the A-sublattice,
+    which carries no amplitude there, so the pass ends at
+    ``last = t_max - t_max % 2``.  ``t_max`` is checked on the first request.
 
     Only the backward light cone of the last read is stepped: a hop moves
     the walker one graph edge, so after each even step ``t`` the rows more
@@ -192,14 +196,15 @@ def origin_amplitudes(
     origin = Site.a(0, 0)
     wf = initial_wavefunction(state)
     yield 0, wf.amplitude(origin)
-    for t in range(1, last + 1):
+    for t in range(2, last + 1, 2):
+        # Two statements, not step(step(...)), so at most two states are alive.
         wf = step(wf, coin)
-        if t % 2 == 0:
-            # Rows lie at most t hops out, so only the second half crops.
-            if last - t < t:
-                keep = np.flatnonzero(_hop_distance(wf.xy) <= last - t)
-                wf = WaveFunction(wf.sublattice, wf.xy[keep], wf.values[keep], t)
-            yield t, wf.amplitude(origin)
+        wf = step(wf, coin)
+        # Rows lie at most t hops out, so only the second half crops.
+        if last - t < t:
+            keep = np.flatnonzero(_hop_distance(wf.xy) <= last - t)
+            wf = WaveFunction(wf.sublattice, wf.xy[keep], wf.values[keep], t)
+        yield t, wf.amplitude(origin)
 
 
 def return_series(

@@ -55,7 +55,7 @@ class Site:
     y: int
 
     def __post_init__(self) -> None:
-        if self.sub not in ("A", "B"):
+        if self.sub not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sub!r}")
 
     @classmethod

@@ -13,11 +13,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hexwalk
@@ -94,14 +96,53 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
     ["limit", "--theta", "1", *_GROVER_BETA],
     ["limit", "--preset", "foo", "--state", "0,1,0"],
+    # cos(theta) rounds to 1 here, where the limit laws divide by 1 - cos(theta)
+    ["limit", "--theta", "1e-9", "--state", "0,1,0"],
+    ["return-series", "--theta", "1e-9", "--state", "0,1,0", "--t-max", "4"],
+    ["compare", "--theta", "6.283185307177", "--state", "0,1,0", "--t-max", "4",
+     "--window", "3"],
 ], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
         "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max",
-        "theta-and-preset", "preset-unknown"])
+        "theta-and-preset", "preset-unknown", "limit-theta-cosine-one",
+        "return-series-theta-cosine-one", "compare-theta-cosine-one"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_small_resolved_angle_gives_finite_limit():
+    # 2e-8 is past the band where cos(theta) rounds to 1, so it is admitted
+    out, err, code = run_cli(["limit", "--theta", "2e-8", "--state", "0,1,0", "--format", "json"])
+    assert (err, code) == ("", 0)
+    report = json.loads(out)
+    amplitude = np.ravel(report["origin_amplitude"])
+    assert all(math.isfinite(v) for v in [report["A"], report["limit"], report["delta"], *amplitude])
+
+
+def _numpy_out_of_memory(*args):
+    np.empty(2**58, dtype=np.complex128)  # 4 EiB: numpy's MemoryError, nothing is allocated
+
+
+def _bare_out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("raiser, detail", [
+    (_numpy_out_of_memory, ": Unable to allocate 4.00 EiB"),
+    (_bare_out_of_memory, "\n"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("name, argv", [
+    ("evolve", ["simulate", *_GROVER_BETA, "--t-max", "4"]),
+    ("origin_amplitudes", ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3"]),
+], ids=["simulate", "compare"])
+def test_out_of_memory_exits_1_with_one_line(monkeypatch, name, argv, raiser, detail):
+    # a run too large for memory is bad input, never a traceback or a bare "error: "
+    monkeypatch.setattr(hexwalk.cli, name, raiser)
+    out, err, code = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory" + detail) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, override", [

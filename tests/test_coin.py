@@ -30,10 +30,16 @@ class TestCoinParams:
         assert p.s == 2 * math.sqrt(2) / 3
         assert abs(p.c**2 + p.s**2 - 1) < 1e-15
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi, 2 * math.pi, 1e-13, math.pi - 1e-13])
+    # cos(theta) rounds to +-1 within about 1.05e-8 of 0 and pi, not only at 0 and pi
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 2 * math.pi, 1e-13, math.pi - 1e-13,
+                                       1e-9, math.pi - 1e-9, 2 * math.pi - 3e-12])
     def test_degenerate_angles_rejected(self, theta):
         with pytest.raises(ValueError):
             CoinParams(theta)
+
+    def test_angle_past_the_rounding_band_admitted(self):
+        p = CoinParams(2e-8)
+        assert 1.0 - p.c > 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"theta": math.nan}, {"theta": math.inf}, {"theta": -math.inf},

@@ -133,6 +133,11 @@ class TestStep:
         with pytest.raises(ValueError):
             wf.values[0, 0] = 0.0
 
+    def test_empty_wavefunction_rejected(self, grover_coin):
+        empty = WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
+        with pytest.raises(ValueError, match="empty"):
+            step(empty, grover_coin)
+
 
 class TestSupport:
     def test_single_sublattice_alternates(self, grover_coin):
@@ -203,6 +208,12 @@ class TestSiteTables:
             WaveFunction("A", xy, [[1, 0, 0], [0, 1, 0]], 0)
         with pytest.raises(ValueError, match="strictly increasing"):
             Distribution("A", xy, [0.5, 0.5], 0)
+
+    def test_unknown_sublattice_rejected(self):
+        with pytest.raises(ValueError, match="sublattice tag"):
+            WaveFunction("C", [[0, 0]], [[1, 0, 0]], 0)
+        with pytest.raises(ValueError, match="sublattice tag"):
+            Distribution("C", [[0, 0]], [1.0], 0)
 
     @pytest.mark.parametrize("xy, values", [
         ([[0, 0, 0]], [1.0]),
