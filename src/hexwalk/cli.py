@@ -216,12 +216,44 @@ def _write(config: RunConfig, payload: dict, lines: Iterable[str]) -> None:
     _emit(text + "\n", config.output_path)
 
 
+# Rows per C-encoder call in ``_json_table``: each block's text stays near
+# 100 kB, so no multi-megabyte string is grown by repeated reallocation.
+_JSON_BLOCK_ROWS = 1024
+
+
+def _json_table(header: dict, columns: list[str], rows: list) -> str:
+    """The text of ``json.dumps({**header, "columns": columns, "rows": rows}, indent=2)``
+    and a newline.
+
+    Only the header goes through the indenting encoder, which is pure Python.
+    The rows go through the C encoder a block at a time, with the indent of a
+    cell written into its item separator; a JSON string holds no raw newline,
+    so the separator between two rows is found by a replace.
+    """
+    text = json.dumps({**header, "columns": columns, "rows": []}, indent=2)
+    if not rows:
+        return text + "\n"
+    between_rows = "\n    ],\n    [\n      "
+    blocks = [
+        json.dumps(rows[i : i + _JSON_BLOCK_ROWS], separators=(",\n      ", ": "))[2:-2]
+        .replace("],\n      [", between_rows)
+        for i in range(0, len(rows), _JSON_BLOCK_ROWS)
+    ]
+    return "".join(
+        (text[: -len("[]\n}")], "[\n    [\n      ", between_rows.join(blocks), "\n    ]\n  ]\n}\n")
+    )
+
+
 def _write_table(
     config: RunConfig, header: dict, columns: list[str], row_format: str, rows: list
 ) -> None:
     """Write ``rows`` as CSV lines in ``row_format``, or as JSON after ``header``."""
-    lines = itertools.chain([",".join(columns)], (row_format.format(*r) for r in rows))
-    _write(config, {**header, "columns": columns, "rows": rows}, lines)
+    if config.fmt == "json":
+        text = _json_table(header, columns, rows)
+    else:
+        lines = itertools.chain([",".join(columns)], (row_format.format(*r) for r in rows))
+        text = "\n".join(lines) + "\n"
+    _emit(text, config.output_path)
 
 
 def cmd_simulate(config: RunConfig) -> int:

@@ -6,12 +6,14 @@ Because a walk started at the origin always occupies a single sublattice,
 the step alternates between the two rows of ``HOPS``: A-sites feed B-sites
 at even times and vice versa.
 
-Wave functions are sparse: parallel arrays of integer site indices, rows
-sorted by (x, y), and complex amplitude triples.  A step merges the three
-scattered clouds in an integer window one site wider than the support, so
-its rows come out sorted.  The scatter is collision-free -- each (site,
-component) pair receives exactly one contribution -- so values are copied,
-never summed, and are reproducible bit for bit.
+Wave functions are sparse: an (n, 2) array of integer site indices, rows
+sorted by (x, y), and an (n, 3) complex array of amplitudes stored
+component-major, as the transpose of three contiguous (3, n) planes.  A step
+mixes the planes with one product, marks the three scattered clouds in a
+window one site wider than the support, so its rows come out sorted, and
+copies each component plane into place.  The scatter is collision-free --
+each (site, component) pair receives exactly one contribution -- so values
+are copied, never summed, and are reproducible bit for bit.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then drops the A-rows more than ``last - t`` hops out.  The
@@ -48,7 +50,9 @@ class _SiteTable:
 
     ``xy`` holds the integer indices, rows strictly increasing in (x, y),
     and ``values`` the matching rows of ``_row_shape``; both arrays are
-    read-only.  The construction check is one O(n) ``np.diff``.
+    read-only.  ``xy`` is C-contiguous; ``values`` is kept in the layout it
+    is given, so the column-major amplitudes that :func:`step` returns are
+    not copied.  The construction check is one O(n) ``np.diff``.
     """
 
     sublattice: Sublattice
@@ -63,7 +67,7 @@ class _SiteTable:
         if self.sublattice not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sublattice!r}")
         xy = np.ascontiguousarray(self.xy, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=self._dtype)
+        values = np.asarray(self.values, dtype=self._dtype)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *self._row_shape):
             raise ValueError(f"xy must be (n, 2) and values (n,) + {self._row_shape}")
         d = np.diff(xy, axis=0)
@@ -129,32 +133,36 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  The targets are marked in a flat
-    integer window one site wider than the support; ``np.flatnonzero``
-    reads the marked cells back in canonical order, and numbering them in
-    place makes the window the row lookup for the copy.  The total norm is
-    kept up to the rounding of the coin multiply (well below 1e-12 per step).
+    neighbour along coin direction ``j``.  The coin mixes the (3, n)
+    component planes, ``wf.values.T``, in one product.  The targets are
+    marked in a flat boolean window one site wider than the support;
+    ``np.flatnonzero`` reads the marked cells back in canonical order, and
+    numbering them once gives the row lookup for copying each mixed plane
+    into its output plane.  The result holds the output planes, transposed.
+    The total norm is kept up to the rounding of the coin multiply (well
+    below 1e-12 per step).
     """
     if not len(wf):
         raise ValueError("cannot step an empty wave function")
-    mixed = wf.values @ coin.T
+    mixed = coin @ np.ascontiguousarray(wf.values.T)
     xs, ys = wf.xy[:, 0], wf.xy[:, 1]
     # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
     lo = np.array([xs[0], ys.min()]) - 1
     nx, ny = int(xs[-1] - lo[0]) + 2, int(ys.max() - lo[1]) + 2
     base = (xs - lo[0]) * ny + (ys - lo[1])
     targets = [base + (dx * ny + dy) for dx, dy in HOPS[wf.sublattice]]
-    window = np.zeros(nx * ny, dtype=np.int64)
+    marked = np.zeros(nx * ny, dtype=bool)
     for target in targets:
-        window[target] = 1
-    cells = np.flatnonzero(window)
-    window[cells] = np.arange(len(cells))
-    values = np.zeros((len(cells), 3), dtype=np.complex128)
+        marked[target] = True
+    cells = np.flatnonzero(marked)
+    number = np.empty(nx * ny, dtype=np.intp)
+    number[cells] = np.arange(len(cells))
+    out = np.zeros((3, len(cells)), dtype=np.complex128)
     for j, target in enumerate(targets):
-        values[window[target], j] = mixed[:, j]
+        out[j, number[target]] = mixed[j]
     xy = np.stack(np.divmod(cells, ny), axis=1) + lo
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
-    return WaveFunction(out_sub, xy, values, wf.t + 1)
+    return WaveFunction(out_sub, xy, out.T, wf.t + 1)
 
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
@@ -203,7 +211,11 @@ def origin_amplitudes(
         # Rows lie at most t hops out, so only the second half crops.
         if last - t < t:
             keep = np.flatnonzero(_hop_distance(wf.xy) <= last - t)
-            wf = WaveFunction(wf.sublattice, wf.xy[keep], wf.values[keep], t)
+            # Columns of the (3, n) planes, the layout step reads without a copy;
+            # no local name, which would keep them alive through the next two steps.
+            wf = WaveFunction(
+                wf.sublattice, wf.xy[keep], np.take(wf.values.T, keep, axis=1).T, t
+            )
         yield t, wf.amplitude(origin)
 
 

@@ -21,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hexwalk
-from hexwalk.cli import main
+from hexwalk.cli import _JSON_BLOCK_ROWS, _json_table, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -231,6 +233,38 @@ def test_unread_config_keys_ignored(tmp_path):
     expected = run_cli(["limit", "--config", str(plain)])
     assert expected[2] == 0
     assert run_cli(["limit", "--config", str(shared)]) == expected
+
+
+_CELLS = {
+    "tag": st.text(),
+    "int": st.integers(-(2**80), 2**80),
+    "float": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e300]),
+}
+
+
+@st.composite
+def _tables(draw):
+    kinds = ["tag", *draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=4))]
+    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=12))
+    return [f"{kind}{i}" for i, kind in enumerate(kinds)], rows
+
+
+@given(
+    header=st.fixed_dictionaries(
+        {"command": st.text(), "theta": _CELLS["float"], "t": _CELLS["int"]}
+    ),
+    table=_tables(),
+)
+@example(header={"command": "simulate", "theta": 1.0, "t": 0}, table=(["sub", "x"], []))
+@example(header={"command": "simulate", "theta": -0.0, "t": -7},
+         table=(["sub", "x", "p"], [("A", -(2**70), 5e-324), ("B", 2**70, 1e300)]))
+@example(header={"command": "simulate", "theta": 1.0, "t": 1},  # rows over three blocks
+         table=(["sub", "x", "p"], [("B", i, i / 7) for i in range(2 * _JSON_BLOCK_ROWS + 1)]))
+def test_json_table_matches_the_indenting_encoder(header, table):
+    columns, rows = table
+    expected = json.dumps({**header, "columns": columns, "rows": rows}, indent=2) + "\n"
+    assert _json_table(header, columns, rows) == expected
 
 
 def test_runs_without_quadrature_do_not_import_scipy():

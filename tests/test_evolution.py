@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hexwalk.evolution
 from hexwalk import (
@@ -20,7 +22,13 @@ from hexwalk import (
 )
 
 from conftest import random_state, random_theta, rows
-from oracles import graph_distances, reference_evolve, shift_target, support_parity_ok
+from oracles import (
+    graph_distances,
+    reference_evolve,
+    reference_step,
+    shift_target,
+    support_parity_ok,
+)
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
 
@@ -132,6 +140,44 @@ class TestStep:
         wf = evolve(BETA_STATE, 4, grover_coin)
         with pytest.raises(ValueError):
             wf.values[0, 0] = 0.0
+
+    def test_input_layout_does_not_change_the_step(self):
+        # step returns column-major values; a hand-built state is C-ordered
+        coin = build_coin(CoinParams(4.0))
+        wf = evolve(CoinState(0.48 + 0.6j, 0.64, 0.0), 9, coin)
+        tables = [
+            WaveFunction(wf.sublattice, wf.xy, layout(wf.values), wf.t)
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        assert tables[0].values.flags.c_contiguous and tables[1].values.flags.f_contiguous
+        stepped = [step(table, coin) for table in tables]
+        for table in tables + stepped:
+            assert not table.values.flags.writeable
+        assert stepped[0].xy.tobytes() == stepped[1].xy.tobytes()
+        assert stepped[0].values.tobytes() == stepped[1].values.tobytes()
+
+    @given(
+        sub=st.sampled_from("AB"),
+        origin=st.tuples(st.integers(-10**6, 10**6), st.integers(-3 * 10**6, 3 * 10**6)),
+        offsets=st.sets(st.tuples(st.integers(-4, 4), st.integers(-6, 6)), max_size=20),
+        theta=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scattered_supports_step_like_the_reference(self, sub, origin, offsets, theta, seed):
+        # (0, 0) and (0, 3) make a gap in one column and mix the parity of
+        # x + y, which no walk from the origin produces
+        x0, y0 = origin
+        sites = sorted(Site(sub, x0 + dx, y0 + dy) for dx, dy in offsets | {(0, 0), (0, 3)})
+        rng = np.random.default_rng(seed)
+        # |mixed| stays near 1, so the two summation orders agree within 1e-15
+        shape = (len(sites), 3)
+        values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+        coin = build_coin(CoinParams(theta))
+        out = rows(step(WaveFunction(sub, [(s.x, s.y) for s in sites], values, 0), coin))
+        assert list(out) == sorted({shift_target(s, j) for s in sites for j in range(3)})
+        ref = reference_step(dict(zip(sites, values)), coin)
+        for site, row in out.items():
+            np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
 
     def test_empty_wavefunction_rejected(self, grover_coin):
         empty = WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
