@@ -9,11 +9,23 @@ at even times and vice versa.
 Wave functions are sparse: an (n, 2) array of integer site indices, rows
 sorted by (x, y), and an (n, 3) complex array of amplitudes stored
 component-major, as the transpose of three contiguous (3, n) planes.  A step
-mixes the planes with one product, marks the three scattered clouds in a
-window one site wider than the support, so its rows come out sorted, and
-copies each component plane into place.  The scatter is collision-free --
-each (site, component) pair receives exactly one contribution -- so values
-are copied, never summed, and are reproducible bit for bit.
+mixes the planes with one product and copies each mixed plane into place.
+The scatter is collision-free -- each (site, component) pair receives
+exactly one contribution -- so values are copied, never summed.
+
+Where the copies go depends on the shape of the support.  A state is in
+column-run form when its x columns are consecutive, each column holds one
+progression y, y + 2, ..., every row has the same parity of x + y, and the
+y ranges of neighbouring columns overlap to within 3.  Every state of a walk
+from the origin is in that form, cropped or not.  Each hop then moves a
+column as a whole, and the parity and overlap rules make the union of the
+three moved ranges in each output column one progression again, so the
+output's column ends, and with them every destination row, follow from the
+input's column ends alone.  Any other state (a column with a gap, mixed
+parity, ranges too far apart) may have output columns with gaps; it takes
+the window merge, which marks the scattered clouds in a window one site
+wider than the support and reads the rows back sorted.  Both paths copy the
+same mixed product into the same rows, so they agree bit for bit.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then drops the A-rows more than ``last - t`` hops out.  The
@@ -134,23 +146,97 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
 
     Component ``j`` of the mixed amplitude at each site moves to the
     neighbour along coin direction ``j``.  The coin mixes the (3, n)
-    component planes, ``wf.values.T``, in one product.  The targets are
-    marked in a flat boolean window one site wider than the support;
-    ``np.flatnonzero`` reads the marked cells back in canonical order, and
-    numbering them once gives the row lookup for copying each mixed plane
-    into its output plane.  The result holds the output planes, transposed.
-    The total norm is kept up to the rounding of the coin multiply (well
-    below 1e-12 per step).
+    component planes, ``wf.values.T``, in one product.  A state in
+    column-run form (see the module docstring) has its output rows placed
+    from its column ends, one run per hop and output column; any other
+    state takes the window merge.  The input alone decides, and both paths
+    copy the same product into the same rows, so the result is the same bit
+    for bit.  It holds the output planes, transposed.  The total norm is
+    kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
     if not len(wf):
         raise ValueError("cannot step an empty wave function")
     mixed = coin @ np.ascontiguousarray(wf.values.T)
-    xs, ys = wf.xy[:, 0], wf.xy[:, 1]
+    hops = HOPS[wf.sublattice]
+    runs = _column_runs(wf.xy)
+    if runs is None:
+        xy, out = _window_merge(wf.xy, hops, mixed)
+    else:
+        xy, out = _run_merge(*runs, hops, mixed)
+    out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
+    return WaveFunction(out_sub, xy, out.T, wf.t + 1)
+
+
+def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(first x, column lows, column highs)`` if ``xy`` is in column-run form, else None."""
+    n = len(xy)
+    xs, ys = xy[:, 0], xy[:, 1]
+    # n rows fill at most n columns; this also bounds the arange below.
+    if xs[-1] - xs[0] >= n or np.count_nonzero((xs + ys) & 1) not in (0, n):
+        return None
+    starts = np.searchsorted(xs, np.arange(xs[0], xs[-1] + 2))
+    counts = starts[1:] - starts[:-1]
+    lo, hi = ys[starts[:-1]], ys[starts[1:] - 1]
+    # Rows rise within a column and share the parity of x + y, so a column is
+    # one progression of step 2 exactly when its ends are 2 (count - 1) apart.
+    if not (counts.all() and (hi - lo == 2 * counts - 2).all()
+            and (np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]) <= 3).all()):
+        return None
+    return int(xs[0]), lo, hi
+
+
+def _run_merge(x0, lo, hi, hops, mixed):
+    """Output ``xy`` and (3, m) planes of a column-run state, see :func:`_column_runs`.
+
+    Hop ``j`` carries input column c to output column c + ``shift[j]`` (0 or
+    1) and moves its y range by ``dy[j]``.  An output column spans the union
+    of the ranges that land on it, one progression by the overlap rule, and
+    each hop fills one run of its rows.  A (3, m) mask marks those runs, so
+    one masked copy puts every mixed plane in place: the rows of a hop keep
+    their order.
+    """
+    dx, dy = np.array(hops).T[:, :, None]
+    shift = dx - dx.min()
+    # Column k + 1 of the padded ends is input column k; the pads, ends beyond
+    # any site, feed no rows.
+    src = np.arange(1, len(lo) + 2) - shift
+    far = 2**60
+    lo_hops = np.concatenate([[far], lo, [far]])[src] + dy
+    hi_hops = np.concatenate([[-far], hi, [-far]])[src] + dy
+    lo_out = lo_hops.min(axis=0)
+    counts = (hi_hops.max(axis=0) - lo_out) // 2 + 1
+    # Per hop and output column: the rows before the hop's run, in it and after it.
+    runs = np.empty((3, len(counts), 3), dtype=np.int64)
+    runs[..., 0] = np.minimum((lo_hops - lo_out) // 2, counts)
+    runs[..., 1] = np.maximum((hi_hops - lo_hops) // 2 + 1, 0)
+    runs[..., 2] = counts - runs[..., 0] - runs[..., 1]
+    in_run = np.zeros(runs.shape, dtype=bool)
+    in_run[..., 1] = True
+    mask = np.repeat(in_run.reshape(-1), runs.reshape(-1))
+    out = np.zeros(mask.size, dtype=np.complex128)
+    out[mask] = mixed.reshape(-1)
+    m = mask.size // 3
+    first = np.cumsum(counts) - counts
+    columns = np.array([x0 + dx.min() + np.arange(len(counts)), lo_out - 2 * first]).T
+    xy = np.repeat(columns, counts, axis=0)
+    xy[:, 1] += np.arange(0, 2 * m, 2)
+    return xy, out.reshape(3, m)
+
+
+def _window_merge(xy, hops, mixed):
+    """Output ``xy`` and (3, m) planes of any state, by merging the hops in a window.
+
+    The targets are marked in a flat boolean window one site wider than the
+    support; ``np.flatnonzero`` reads the marked cells back in canonical
+    order, and numbering them once gives the row lookup for copying each
+    mixed plane into its output plane.
+    """
+    xs, ys = xy[:, 0], xy[:, 1]
     # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
     lo = np.array([xs[0], ys.min()]) - 1
     nx, ny = int(xs[-1] - lo[0]) + 2, int(ys.max() - lo[1]) + 2
     base = (xs - lo[0]) * ny + (ys - lo[1])
-    targets = [base + (dx * ny + dy) for dx, dy in HOPS[wf.sublattice]]
+    targets = [base + (dx * ny + dy) for dx, dy in hops]
     marked = np.zeros(nx * ny, dtype=bool)
     for target in targets:
         marked[target] = True
@@ -160,9 +246,7 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     out = np.zeros((3, len(cells)), dtype=np.complex128)
     for j, target in enumerate(targets):
         out[j, number[target]] = mixed[j]
-    xy = np.stack(np.divmod(cells, ny), axis=1) + lo
-    out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
-    return WaveFunction(out_sub, xy, out.T, wf.t + 1)
+    return np.stack(np.divmod(cells, ny), axis=1) + lo, out
 
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:

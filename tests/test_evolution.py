@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hexwalk import (
     return_series,
     step,
 )
+from hexwalk.lattice import HOPS
 
 from conftest import random_state, random_theta, rows
 from oracles import (
@@ -31,6 +33,38 @@ from oracles import (
 )
 
 BETA_STATE = CoinState(0.0, 1.0, 0.0)
+# Real and complex states, with the Grover coin and two other angles.
+WALKS = [
+    (CoinParams.grover(), BETA_STATE),
+    (CoinParams(1.0), CoinState(0.6, 0.0, 0.8)),
+    (CoinParams(4.0), CoinState(0.48 + 0.6j, 0.64, 0.0)),
+]
+
+
+@st.composite
+def column_states(draw):
+    """``(sublattice, xy, in column-run form)`` for consecutive columns of progressions.
+
+    Column k holds y, y + 2, ... (one to four rows) at x = x0 + k.  One
+    column may have its x + y parity flipped, and the column ranges are drawn
+    independently, so neighbours may be more than 3 apart: the draws land on
+    both sides of the form.
+    """
+    sub = draw(st.sampled_from("AB"))
+    x0 = draw(st.integers(-10**6, 10**6))
+    y0 = 2 * draw(st.integers(-10**6, 10**6)) + draw(st.integers(0, 1))
+    column = st.tuples(st.integers(-4, 4), st.integers(1, 4))
+    columns = draw(st.lists(column, min_size=1, max_size=8))
+    flip = draw(st.none() | st.integers(0, len(columns) - 1))
+    ends = []
+    for k, (start, count) in enumerate(columns):
+        lo = y0 + 2 * start + (x0 + k) % 2 + (k == flip)
+        ends.append((lo, lo + 2 * count - 2))
+    xy = [(x0 + k, y) for k, (lo, hi) in enumerate(ends) for y in range(lo, hi + 1, 2)]
+    in_form = (flip is None or len(columns) == 1) and all(
+        lo1 - hi0 <= 3 and lo0 - hi1 <= 3 for (lo0, hi0), (lo1, hi1) in zip(ends, ends[1:])
+    )
+    return sub, xy, in_form
 
 
 class TestInitialWaveFunction:
@@ -179,6 +213,42 @@ class TestStep:
         for site, row in out.items():
             np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
 
+    @given(state=column_states(), theta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_column_runs_step_like_the_window_merge(self, state, theta, seed):
+        # the column-run path is taken exactly on states in the form, and its
+        # xy and values bytes are those of the window merge either way
+        sub, xy, in_form = state
+        rng = np.random.default_rng(seed)
+        shape = (len(xy), 3)
+        values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+        wf = WaveFunction(sub, xy, values, 0)
+        coin = build_coin(CoinParams(theta))
+        window_merge = hexwalk.evolution._window_merge
+        with mock.patch.object(hexwalk.evolution, "_window_merge", wraps=window_merge) as spy:
+            stepped = step(wf, coin)
+        assert spy.called != in_form
+        merged_xy, planes = window_merge(wf.xy, HOPS[sub], coin @ np.ascontiguousarray(wf.values.T))
+        assert stepped.xy.tobytes() == merged_xy.tobytes()
+        assert stepped.values.tobytes() == planes.T.tobytes()
+        out = rows(stepped)
+        ref = reference_step(rows(wf), coin)
+        assert list(out) == sorted(ref)
+        for site, row in out.items():
+            np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
+
+    def test_walk_states_never_take_the_window_merge(self, monkeypatch):
+        # every state of a walk from the origin, cropped or not, is in
+        # column-run form
+        def window_merge(*args):
+            raise AssertionError("a walk state left the column-run form")
+
+        monkeypatch.setattr(hexwalk.evolution, "_window_merge", window_merge)
+        for params, state in WALKS:
+            coin = build_coin(params)
+            evolve(state, 41, coin)
+            for t_max in (40, 41):
+                list(origin_amplitudes(state, t_max, coin))
+
     def test_empty_wavefunction_rejected(self, grover_coin):
         empty = WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
         with pytest.raises(ValueError, match="empty"):
@@ -285,12 +355,7 @@ class TestReturnSeries:
     def test_matches_separately_evolved_distribution(self):
         # the cropped stream equals a full evolution bit for bit at every even
         # time, for real and complex states, at even and odd t_max
-        cases = [
-            (CoinParams.grover(), BETA_STATE),
-            (CoinParams(1.0), CoinState(0.6, 0.0, 0.8)),
-            (CoinParams(4.0), CoinState(0.48 + 0.6j, 0.64, 0.0)),
-        ]
-        for params, state in cases:
+        for params, state in WALKS:
             coin = build_coin(params)
             for t_max in (30, 31):
                 stream = list(origin_amplitudes(state, t_max, coin))
