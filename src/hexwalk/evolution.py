@@ -13,19 +13,16 @@ mixes the planes with one product and copies each mixed plane into place.
 The scatter is collision-free -- each (site, component) pair receives
 exactly one contribution -- so values are copied, never summed.
 
-Where the copies go depends on the shape of the support.  A state is in
-column-run form when its x columns are consecutive, each column holds one
-progression y, y + 2, ..., every row has the same parity of x + y, and the
-y ranges of neighbouring columns overlap to within 3.  Every state of a walk
-from the origin is in that form, cropped or not.  Each hop then moves a
-column as a whole, and the parity and overlap rules make the union of the
-three moved ranges in each output column one progression again, so the
-output's column ends, and with them every destination row, follow from the
-input's column ends alone.  Any other state (a column with a gap, mixed
-parity, ranges too far apart) may have output columns with gaps; it takes
-the window merge, which marks the scattered clouds in a window one site
-wider than the support and reads the rows back sorted.  Both paths copy the
-same mixed product into the same rows, so they agree bit for bit.
+The copies go where the column ends say.  A state is in column-run form
+when its x columns are consecutive, each column holds one progression
+y, y + 2, ..., every row has the same parity of x + y, and the y ranges of
+neighbouring columns overlap to within 3.  These are exactly the states a
+walk from one site reaches, cropped or not: one site is in the form, and
+each hop moves a column as a whole, so the parity and overlap rules make the
+union of the three moved ranges in each output column one progression
+again.  The output is in the form, and its column ends, and with them every
+destination row, follow from the input's column ends alone.  Any other
+state, or one with a coordinate of size 2**59 or more, is refused.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then drops the A-rows more than ``last - t`` hops out.  The
@@ -54,6 +51,11 @@ __all__ = [
     "origin_amplitudes",
     "return_series",
 ]
+
+# The run merge pads the column ends with _PAD and -_PAD.  step admits only
+# coordinates of size below _PAD // 2 = 2**59, so a pad lies beyond every hop
+# target, and no difference of ends and pads overflows int64.
+_PAD = 2**60
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,12 @@ class _SiteTable:
 
 @dataclass(frozen=True)
 class WaveFunction(_SiteTable):
-    """Sparse walker state at step ``t``: complex amplitude triples per site."""
+    """Sparse walker state at step ``t``: complex amplitude triples per site.
+
+    Any sorted rows make a table, but :func:`step` takes only the states a
+    walk from one site reaches (column-run form, see the module docstring)
+    with every coordinate below 2**59 in size.
+    """
 
     _dtype = np.complex128
     _row_shape = (3,)
@@ -146,43 +153,49 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
 
     Component ``j`` of the mixed amplitude at each site moves to the
     neighbour along coin direction ``j``.  The coin mixes the (3, n)
-    component planes, ``wf.values.T``, in one product.  A state in
-    column-run form (see the module docstring) has its output rows placed
-    from its column ends, one run per hop and output column; any other
-    state takes the window merge.  The input alone decides, and both paths
-    copy the same product into the same rows, so the result is the same bit
-    for bit.  It holds the output planes, transposed.  The total norm is
-    kept up to the rounding of the coin multiply (well below 1e-12 per step).
+    component planes, ``wf.values.T``, in one product, and the output rows
+    are placed from the input's column ends, one run per hop and output
+    column; the result holds the output planes, transposed.  ``wf`` must be
+    in column-run form (see the module docstring), which is exactly the set
+    of states a walk from one site reaches, and the result is in that form
+    again.  Any other state, or one with a coordinate of size 2**59 or
+    more, raises ValueError.  The total norm is kept up to the rounding of
+    the coin multiply (well below 1e-12 per step).
     """
     if not len(wf):
         raise ValueError("cannot step an empty wave function")
-    mixed = coin @ np.ascontiguousarray(wf.values.T)
-    hops = HOPS[wf.sublattice]
     runs = _column_runs(wf.xy)
     if runs is None:
-        xy, out = _window_merge(wf.xy, hops, mixed)
-    else:
-        xy, out = _run_merge(*runs, hops, mixed)
+        raise ValueError("no walk from one site reaches this state, or a coordinate "
+                         "is 2**59 or more in size")
+    mixed = coin @ np.ascontiguousarray(wf.values.T)
+    xy, out = _run_merge(*runs, HOPS[wf.sublattice], mixed)
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
     return WaveFunction(out_sub, xy, out.T, wf.t + 1)
 
 
 def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     """``(first x, column lows, column highs)`` if ``xy`` is in column-run form, else None."""
-    n = len(xy)
+    n, half = len(xy), _PAD // 2
     xs, ys = xy[:, 0], xy[:, 1]
-    # n rows fill at most n columns; this also bounds the arange below.
-    if xs[-1] - xs[0] >= n or np.count_nonzero((xs + ys) & 1) not in (0, n):
+    x0, x1 = int(xs[0]), int(xs[-1])
+    # Coordinates stay below half the pad: rows are sorted, so x's bounds are
+    # the end rows, and y's are the column ends once no column is empty, checked
+    # before the ends' differences can wrap.  (The parity sum may wrap; its
+    # parity holds.)  n rows fill at most n columns; this bounds the arange.
+    if (x0 <= -half or x1 >= half or x1 - x0 >= n
+            or np.count_nonzero((xs + ys) & 1) not in (0, n)):
         return None
-    starts = np.searchsorted(xs, np.arange(xs[0], xs[-1] + 2))
+    starts = np.searchsorted(xs, np.arange(x0, x1 + 2))
     counts = starts[1:] - starts[:-1]
     lo, hi = ys[starts[:-1]], ys[starts[1:] - 1]
     # Rows rise within a column and share the parity of x + y, so a column is
     # one progression of step 2 exactly when its ends are 2 (count - 1) apart.
-    if not (counts.all() and (hi - lo == 2 * counts - 2).all()
+    if not (counts.all() and lo.min() > -half and hi.max() < half
+            and (hi - lo == 2 * counts - 2).all()
             and (np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]) <= 3).all()):
         return None
-    return int(xs[0]), lo, hi
+    return x0, lo, hi
 
 
 def _run_merge(x0, lo, hi, hops, mixed):
@@ -200,9 +213,8 @@ def _run_merge(x0, lo, hi, hops, mixed):
     # Column k + 1 of the padded ends is input column k; the pads, ends beyond
     # any site, feed no rows.
     src = np.arange(1, len(lo) + 2) - shift
-    far = 2**60
-    lo_hops = np.concatenate([[far], lo, [far]])[src] + dy
-    hi_hops = np.concatenate([[-far], hi, [-far]])[src] + dy
+    lo_hops = np.concatenate([[_PAD], lo, [_PAD]])[src] + dy
+    hi_hops = np.concatenate([[-_PAD], hi, [-_PAD]])[src] + dy
     lo_out = lo_hops.min(axis=0)
     counts = (hi_hops.max(axis=0) - lo_out) // 2 + 1
     # Per hop and output column: the rows before the hop's run, in it and after it.
@@ -221,32 +233,6 @@ def _run_merge(x0, lo, hi, hops, mixed):
     xy = np.repeat(columns, counts, axis=0)
     xy[:, 1] += np.arange(0, 2 * m, 2)
     return xy, out.reshape(3, m)
-
-
-def _window_merge(xy, hops, mixed):
-    """Output ``xy`` and (3, m) planes of any state, by merging the hops in a window.
-
-    The targets are marked in a flat boolean window one site wider than the
-    support; ``np.flatnonzero`` reads the marked cells back in canonical
-    order, and numbering them once gives the row lookup for copying each
-    mixed plane into its output plane.
-    """
-    xs, ys = xy[:, 0], xy[:, 1]
-    # Rows are sorted by (x, y) (the constructor checks it): x's bounds are the end rows.
-    lo = np.array([xs[0], ys.min()]) - 1
-    nx, ny = int(xs[-1] - lo[0]) + 2, int(ys.max() - lo[1]) + 2
-    base = (xs - lo[0]) * ny + (ys - lo[1])
-    targets = [base + (dx * ny + dy) for dx, dy in hops]
-    marked = np.zeros(nx * ny, dtype=bool)
-    for target in targets:
-        marked[target] = True
-    cells = np.flatnonzero(marked)
-    number = np.empty(nx * ny, dtype=np.intp)
-    number[cells] = np.arange(len(cells))
-    out = np.zeros((3, len(cells)), dtype=np.complex128)
-    for j, target in enumerate(targets):
-        out[j, number[target]] = mixed[j]
-    return np.stack(np.divmod(cells, ny), axis=1) + lo, out
 
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:

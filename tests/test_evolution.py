@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from hexwalk import (
     return_series,
     step,
 )
-from hexwalk.lattice import HOPS
 
 from conftest import random_state, random_theta, rows
 from oracles import (
@@ -121,7 +119,7 @@ class TestStep:
     def test_matches_reference_stepper(self, grover_coin):
         # every lookup in a box past the light cone, on both sublattices and
         # in both site tables: sites the reference lacks (missing x, missing
-        # y, wrong sublattice, just outside the merge window) read as exact zeros
+        # y, wrong sublattice) read as exact zeros
         rng = np.random.default_rng(5)
         for _ in range(3):
             params = CoinParams(random_theta(rng))
@@ -151,9 +149,11 @@ class TestStep:
                         np.testing.assert_array_equal(wf.amplitude(site), np.zeros(3))
                         assert dist.probability(site) == 0.0
 
-    @pytest.mark.parametrize("x, y", [(0, 3_000_000), (-5, -2_097_152), (10**6, -2_097_153)])
+    @pytest.mark.parametrize("x, y", [(0, 3_000_000), (-5, -2_097_152), (10**6, -2_097_153),
+                                      (2**59 - 1, 1 - 2**59), (1 - 2**59, 2**59 - 1)])
     def test_far_sites_step_to_their_neighbours(self, grover_coin, x, y):
-        # |y| at and past 2**21 must step like any other site
+        # |y| at and past 2**21, up to the largest admitted 2**59 - 1, must
+        # step like any other site
         values = np.array([1.0, 0.5j, -0.25])
         wf = step(WaveFunction("A", [[x, y]], [values], 0), grover_coin)
         targets = [shift_target(Site.a(x, y), j) for j in range(3)]
@@ -190,64 +190,39 @@ class TestStep:
         assert stepped[0].xy.tobytes() == stepped[1].xy.tobytes()
         assert stepped[0].values.tobytes() == stepped[1].values.tobytes()
 
-    @given(
-        sub=st.sampled_from("AB"),
-        origin=st.tuples(st.integers(-10**6, 10**6), st.integers(-3 * 10**6, 3 * 10**6)),
-        offsets=st.sets(st.tuples(st.integers(-4, 4), st.integers(-6, 6)), max_size=20),
-        theta=st.floats(0.1, 3.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_scattered_supports_step_like_the_reference(self, sub, origin, offsets, theta, seed):
-        # (0, 0) and (0, 3) make a gap in one column and mix the parity of
-        # x + y, which no walk from the origin produces
-        x0, y0 = origin
-        sites = sorted(Site(sub, x0 + dx, y0 + dy) for dx, dy in offsets | {(0, 0), (0, 3)})
-        rng = np.random.default_rng(seed)
-        # |mixed| stays near 1, so the two summation orders agree within 1e-15
-        shape = (len(sites), 3)
-        values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
-        coin = build_coin(CoinParams(theta))
-        out = rows(step(WaveFunction(sub, [(s.x, s.y) for s in sites], values, 0), coin))
-        assert list(out) == sorted({shift_target(s, j) for s in sites for j in range(3)})
-        ref = reference_step(dict(zip(sites, values)), coin)
-        for site, row in out.items():
-            np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
-
     @given(state=column_states(), theta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
     def test_column_runs_step_like_the_window_merge(self, state, theta, seed):
-        # the column-run path is taken exactly on states in the form, and its
-        # xy and values bytes are those of the window merge either way
+        # a state in the form steps to the union of its hop targets with the
+        # reference values, the rows and values a merge of the three hop
+        # windows gives; no walk from one site reaches any other state
         sub, xy, in_form = state
         rng = np.random.default_rng(seed)
         shape = (len(xy), 3)
+        # |mixed| stays near 1, so the two summation orders agree within 1e-15
         values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
         wf = WaveFunction(sub, xy, values, 0)
         coin = build_coin(CoinParams(theta))
-        window_merge = hexwalk.evolution._window_merge
-        with mock.patch.object(hexwalk.evolution, "_window_merge", wraps=window_merge) as spy:
-            stepped = step(wf, coin)
-        assert spy.called != in_form
-        merged_xy, planes = window_merge(wf.xy, HOPS[sub], coin @ np.ascontiguousarray(wf.values.T))
-        assert stepped.xy.tobytes() == merged_xy.tobytes()
-        assert stepped.values.tobytes() == planes.T.tobytes()
-        out = rows(stepped)
+        if not in_form:
+            with pytest.raises(ValueError, match="no walk from one site reaches"):
+                step(wf, coin)
+            return
+        out = rows(step(wf, coin))
+        assert list(out) == sorted({shift_target(s, j) for s in rows(wf) for j in range(3)})
         ref = reference_step(rows(wf), coin)
-        assert list(out) == sorted(ref)
         for site, row in out.items():
             np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
 
-    def test_walk_states_never_take_the_window_merge(self, monkeypatch):
-        # every state of a walk from the origin, cropped or not, is in
-        # column-run form
-        def window_merge(*args):
-            raise AssertionError("a walk state left the column-run form")
-
-        monkeypatch.setattr(hexwalk.evolution, "_window_merge", window_merge)
-        for params, state in WALKS:
-            coin = build_coin(params)
-            evolve(state, 41, coin)
-            for t_max in (40, 41):
-                list(origin_amplitudes(state, t_max, coin))
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("far", [2**59, 2**60 + 2, 2**62, 2**63 - 1, -2**59, -2**63],
+                             ids=["2**59", "2**60+2", "2**62", "2**63-1", "-2**59", "-2**63"])
+    def test_coordinates_past_the_pads_rejected(self, grover_coin, axis, far):
+        # the run merge pads the column ends at 2**60, so sites from 2**59 out
+        # are refused rather than stepped to wrong rows
+        site = [0, 0]
+        site[axis] = far
+        wf = WaveFunction("A", [site], [[1.0, 0.5j, -0.25]], 0)
+        with pytest.raises(ValueError, match=r"2\*\*59 or more"):
+            step(wf, grover_coin)
 
     def test_empty_wavefunction_rejected(self, grover_coin):
         empty = WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
