@@ -13,16 +13,15 @@ mixes the planes with one product and copies each mixed plane into place.
 The scatter is collision-free -- each (site, component) pair receives
 exactly one contribution -- so values are copied, never summed.
 
-The copies go where the column ends say.  A state is in column-run form
-when its x columns are consecutive, each column holds one progression
-y, y + 2, ..., every row has the same parity of x + y, and the y ranges of
-neighbouring columns overlap to within 3.  These are exactly the states a
-walk from one site reaches, cropped or not: one site is in the form, and
-each hop moves a column as a whole, so the parity and overlap rules make the
-union of the three moved ranges in each output column one progression
-again.  The output is in the form, and its column ends, and with them every
-destination row, follow from the input's column ends alone.  Any other
-state, or one with a coordinate of size 2**59 or more, is refused.
+A site table holds a state a walk from one site reaches, cropped or not.
+These are the states in column-run form: x columns consecutive, each column
+one progression y, y + 2, ..., one parity of x + y in every row, and the y
+ranges of neighbouring columns overlapping to within 3.  One site is in the
+form, and each hop moves a column as a whole, so the parity and overlap rules
+make each output column one progression again.  The form, with coordinates
+of size at most 2**59, is checked once, when a table is built, and the table
+keeps the column ends it found.  A step places every row from those ends
+alone and refuses nothing; an output past 2**59 fails when it is built.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then drops the A-rows more than ``last - t`` hops out.  The
@@ -33,7 +32,7 @@ same bit for bit as that of a full evolution.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -52,9 +51,9 @@ __all__ = [
     "return_series",
 ]
 
-# The run merge pads the column ends with _PAD and -_PAD.  step admits only
-# coordinates of size below _PAD // 2 = 2**59, so a pad lies beyond every hop
-# target, and no difference of ends and pads overflows int64.
+# The run merge pads the column ends with _PAD and -_PAD.  Tables admit sizes
+# up to _PAD // 2 = 2**59, so a pad lies beyond every hop target (2**59 + 1 at
+# most), and no difference of ends and pads overflows int64.
 _PAD = 2**60
 
 
@@ -62,17 +61,18 @@ _PAD = 2**60
 class _SiteTable:
     """Rows of one sublattice at step ``t``, the body of both site tables.
 
-    ``xy`` holds the integer indices, rows strictly increasing in (x, y),
-    and ``values`` the matching rows of ``_row_shape``; both arrays are
-    read-only.  ``xy`` is C-contiguous; ``values`` is kept in the layout it
-    is given, so the column-major amplitudes that :func:`step` returns are
-    not copied.  The construction check is one O(n) ``np.diff``.
+    ``xy`` holds a state a walk from one site reaches (see the module
+    docstring), checked once when the table is built, and ``values`` the
+    matching rows of ``_row_shape``; both arrays are read-only.  ``xy`` is
+    C-contiguous; ``values`` is kept in the layout it is given, so the
+    column-major amplitudes that :func:`step` returns are not copied.
     """
 
     sublattice: Sublattice
     xy: np.ndarray
     values: np.ndarray
     t: int
+    _runs: tuple[int, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     _dtype: ClassVar[type]
     _row_shape: ClassVar[tuple[int, ...]]
@@ -84,13 +84,14 @@ class _SiteTable:
         values = np.asarray(self.values, dtype=self._dtype)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *self._row_shape):
             raise ValueError(f"xy must be (n, 2) and values (n,) + {self._row_shape}")
-        d = np.diff(xy, axis=0)
-        if not np.all((d[:, 0] > 0) | ((d[:, 0] == 0) & (d[:, 1] > 0))):
-            raise ValueError("xy rows must be strictly increasing in (x, y)")
+        runs = _column_runs(xy)
+        if runs is None:
+            raise ValueError("no walk from one site reaches these rows, or one is past 2**59")
         xy.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_runs", runs)
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -111,9 +112,8 @@ class _SiteTable:
 class WaveFunction(_SiteTable):
     """Sparse walker state at step ``t``: complex amplitude triples per site.
 
-    Any sorted rows make a table, but :func:`step` takes only the states a
-    walk from one site reaches (column-run form, see the module docstring)
-    with every coordinate below 2**59 in size.
+    Its rows are a state a walk from one site reaches, checked when the
+    table is built, so :func:`step` takes any wave function.
     """
 
     _dtype = np.complex128
@@ -129,7 +129,7 @@ class WaveFunction(_SiteTable):
 
 @dataclass(frozen=True)
 class Distribution(_SiteTable):
-    """Per-site observation probabilities at step ``t``, rows as in :class:`WaveFunction`."""
+    """Per-site probabilities at step ``t`` on the rows of a walk's state, checked when built."""
 
     _dtype = np.float64
     _row_shape = ()
@@ -154,22 +154,14 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     Component ``j`` of the mixed amplitude at each site moves to the
     neighbour along coin direction ``j``.  The coin mixes the (3, n)
     component planes, ``wf.values.T``, in one product, and the output rows
-    are placed from the input's column ends, one run per hop and output
-    column; the result holds the output planes, transposed.  ``wf`` must be
-    in column-run form (see the module docstring), which is exactly the set
-    of states a walk from one site reaches, and the result is in that form
-    again.  Any other state, or one with a coordinate of size 2**59 or
-    more, raises ValueError.  The total norm is kept up to the rounding of
-    the coin multiply (well below 1e-12 per step).
+    are placed from the column ends ``wf`` keeps, one run per hop and output
+    column; the result holds the output planes, transposed.  Every table is
+    a state a walk reaches, so ``step`` cannot refuse ``wf``; only an output
+    past 2**59 in size raises ValueError, when it is built.  The total norm
+    is kept up to the rounding of the coin multiply (well below 1e-12 per step).
     """
-    if not len(wf):
-        raise ValueError("cannot step an empty wave function")
-    runs = _column_runs(wf.xy)
-    if runs is None:
-        raise ValueError("no walk from one site reaches this state, or a coordinate "
-                         "is 2**59 or more in size")
     mixed = coin @ np.ascontiguousarray(wf.values.T)
-    xy, out = _run_merge(*runs, HOPS[wf.sublattice], mixed)
+    xy, out = _run_merge(*wf._runs, HOPS[wf.sublattice], mixed)
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
     return WaveFunction(out_sub, xy, out.T, wf.t + 1)
 
@@ -177,22 +169,24 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
 def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     """``(first x, column lows, column highs)`` if ``xy`` is in column-run form, else None."""
     n, half = len(xy), _PAD // 2
-    xs, ys = xy[:, 0], xy[:, 1]
-    x0, x1 = int(xs[0]), int(xs[-1])
-    # Coordinates stay below half the pad: rows are sorted, so x's bounds are
-    # the end rows, and y's are the column ends once no column is empty, checked
-    # before the ends' differences can wrap.  (The parity sum may wrap; its
-    # parity holds.)  n rows fill at most n columns; this bounds the arange.
-    if (x0 <= -half or x1 >= half or x1 - x0 >= n
-            or np.count_nonzero((xs + ys) & 1) not in (0, n)):
+    if not n:
         return None
-    starts = np.searchsorted(xs, np.arange(x0, x1 + 2))
-    counts = starts[1:] - starts[:-1]
-    lo, hi = ys[starts[:-1]], ys[starts[1:] - 1]
-    # Rows rise within a column and share the parity of x + y, so a column is
-    # one progression of step 2 exactly when its ends are 2 (count - 1) apart.
-    if not (counts.all() and lo.min() > -half and hi.max() < half
-            and (hi - lo == 2 * counts - 2).all()
+    # Each row continues its column 2 higher or opens the next one.
+    dx, dy = np.diff(xy[:, 0]), np.diff(xy[:, 1])
+    opens = dx == 1
+    if not (opens | (dx == 0) & (dy == 2)).all():
+        return None
+    starts = np.flatnonzero(opens) + 1
+    lo = xy[np.concatenate(([0], starts)), 1]
+    hi = xy[np.concatenate((starts - 1, [n - 1])), 1]
+    x0 = int(xy[0, 0])
+    # int64 differences wrap, but int64 values are distinct mod 2**64: from a
+    # first row in bounds, each row is exactly one such move, so the last x and
+    # the column ends bound every row.  Columns share the parity of x + y when
+    # their lows differ by an odd step.
+    if not (-half <= x0 and x0 + len(lo) - 1 <= half
+            and lo.min() >= -half and hi.max() <= half
+            and ((lo[1:] - lo[:-1]) & 1).all()
             and (np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]) <= 3).all()):
         return None
     return x0, lo, hi

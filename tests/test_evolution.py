@@ -194,18 +194,19 @@ class TestStep:
     def test_column_runs_step_like_the_window_merge(self, state, theta, seed):
         # a state in the form steps to the union of its hop targets with the
         # reference values, the rows and values a merge of the three hop
-        # windows gives; no walk from one site reaches any other state
+        # windows gives; no walk from one site reaches any other state, and
+        # no table holds one
         sub, xy, in_form = state
         rng = np.random.default_rng(seed)
         shape = (len(xy), 3)
         # |mixed| stays near 1, so the two summation orders agree within 1e-15
         values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
-        wf = WaveFunction(sub, xy, values, 0)
-        coin = build_coin(CoinParams(theta))
         if not in_form:
             with pytest.raises(ValueError, match="no walk from one site reaches"):
-                step(wf, coin)
+                WaveFunction(sub, xy, values, 0)
             return
+        wf = WaveFunction(sub, xy, values, 0)
+        coin = build_coin(CoinParams(theta))
         out = rows(step(wf, coin))
         assert list(out) == sorted({shift_target(s, j) for s in rows(wf) for j in range(3)})
         ref = reference_step(rows(wf), coin)
@@ -216,18 +217,24 @@ class TestStep:
     @pytest.mark.parametrize("far", [2**59, 2**60 + 2, 2**62, 2**63 - 1, -2**59, -2**63],
                              ids=["2**59", "2**60+2", "2**62", "2**63-1", "-2**59", "-2**63"])
     def test_coordinates_past_the_pads_rejected(self, grover_coin, axis, far):
-        # the run merge pads the column ends at 2**60, so sites from 2**59 out
-        # are refused rather than stepped to wrong rows
+        # the run merge pads the column ends at 2**60, so a table admits sites
+        # of size at most 2**59, and a step out of that range is refused
+        # rather than stepped to wrong rows
         site = [0, 0]
         site[axis] = far
-        wf = WaveFunction("A", [site], [[1.0, 0.5j, -0.25]], 0)
-        with pytest.raises(ValueError, match=r"2\*\*59 or more"):
+        values = [[1.0, 0.5j, -0.25]]
+        if abs(far) > 2**59:
+            with pytest.raises(ValueError, match=r"past 2\*\*59"):
+                WaveFunction("A", [site], values, 0)
+            return
+        # only B-sites hop to x + 1
+        wf = WaveFunction("B" if site[0] > 0 else "A", [site], values, 0)
+        with pytest.raises(ValueError, match=r"past 2\*\*59"):
             step(wf, grover_coin)
 
-    def test_empty_wavefunction_rejected(self, grover_coin):
-        empty = WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
-        with pytest.raises(ValueError, match="empty"):
-            step(empty, grover_coin)
+    def test_empty_wavefunction_rejected(self):
+        with pytest.raises(ValueError, match="no walk from one site reaches"):
+            WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
 
 
 class TestSupport:
@@ -292,12 +299,16 @@ class TestDistribution:
 class TestSiteTables:
     # Unsorted: A(0, 0) holds (0, 1, 0), but a binary search over these
     # rows would report it as empty.  Repeated: one site with two rows.
-    @pytest.mark.parametrize("xy", [[[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [0, 1]]],
-                             ids=["unsorted-x", "repeated", "unsorted-y"])
+    # Wrapped: the x difference wraps to +1 in int64, and a lookup of
+    # A(-2**63, 0) would find the row of A(2**63 - 1, 0).  Far apart: sorted,
+    # but its x difference wraps negative.
+    @pytest.mark.parametrize("xy", [[[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [0, 1]],
+                                    [[2**63 - 1, 0], [-2**63, 0]], [[-2**63, 5], [2**63 - 1, 0]]],
+                             ids=["unsorted-x", "repeated", "unsorted-y", "wrapped-x", "far-apart"])
     def test_rows_must_strictly_increase(self, xy):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="no walk from one site reaches"):
             WaveFunction("A", xy, [[1, 0, 0], [0, 1, 0]], 0)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="no walk from one site reaches"):
             Distribution("A", xy, [0.5, 0.5], 0)
 
     def test_unknown_sublattice_rejected(self):
