@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -270,7 +271,7 @@ def cmd_simulate(config: RunConfig) -> int:
     # peaks no higher in memory than with rows built one at a time.
     x, y, probs = dist.xy[:, 0], dist.xy[:, 1], dist.values
     if config.indices:
-        rows = list(zip([dist.sublattice] * len(dist), x.tolist(), y.tolist(), probs.tolist()))
+        rows = list(zip([dist.sublattice] * len(probs), x.tolist(), y.tolist(), probs.tolist()))
         _write_table(config, header, ["sub", "x", "y", "prob"], "{},{},{},{:.12e}", rows)
     else:
         points = (c.tolist() for c in physical_coordinates(dist.sublattice, x, y))
@@ -372,6 +373,12 @@ def cmd_compare(config: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as ValueError instead of exiting with 2."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Values such as -0.6,0,0.8 and -1e-3, which argparse's own pattern (plain
+        # numbers only) reads as options; no option of ours starts with - and a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)

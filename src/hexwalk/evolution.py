@@ -13,15 +13,17 @@ mixes the planes with one product and copies each mixed plane into place.
 The scatter is collision-free -- each (site, component) pair receives
 exactly one contribution -- so values are copied, never summed.
 
-A site table holds a state a walk from one site reaches, cropped or not.
-These are the states in column-run form: x columns consecutive, each column
-one progression y, y + 2, ..., one parity of x + y in every row, and the y
-ranges of neighbouring columns overlapping to within 3.  One site is in the
-form, and each hop moves a column as a whole, so the parity and overlap rules
-make each output column one progression again.  The form, with coordinates
-of size at most 2**59, is checked once, when a table is built, and the table
-keeps the column ends it found.  A step places every row from those ends
-alone and refuses nothing; an output past 2**59 fails when it is built.
+A wave function, the one checked site table, holds a state a walk from one
+site reaches, cropped or not.  These are the states in column-run form: x
+columns consecutive, each column one progression y, y + 2, ..., one parity
+of x + y in every row, and the y ranges of neighbouring columns overlapping
+to within 3.  One site is in the form, and each hop moves a column as a
+whole, so the parity and overlap rules make each output column one
+progression again.  The form, with coordinates of size at most 2**59, is
+checked once, when a wave function is built, and it keeps the column ends
+it found.  A step places every row from those ends alone and refuses
+nothing; an output past 2**59 fails when it is built.  A distribution lays
+probabilities on the rows of a wave function and checks nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then drops the A-rows more than ``last - t`` hops out.  The
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -58,14 +59,15 @@ _PAD = 2**60
 
 
 @dataclass(frozen=True)
-class _SiteTable:
-    """Rows of one sublattice at step ``t``, the body of both site tables.
+class WaveFunction:
+    """Sparse walker state at step ``t``: complex amplitude triples per site.
 
     ``xy`` holds a state a walk from one site reaches (see the module
-    docstring), checked once when the table is built, and ``values`` the
-    matching rows of ``_row_shape``; both arrays are read-only.  ``xy`` is
-    C-contiguous; ``values`` is kept in the layout it is given, so the
-    column-major amplitudes that :func:`step` returns are not copied.
+    docstring), checked once when the table is built, so :func:`step` takes
+    any wave function; ``values`` holds the matching (n, 3) amplitudes.  Both
+    arrays are read-only.  ``xy`` is C-contiguous; ``values`` is kept in the
+    layout it is given, so the column-major amplitudes that :func:`step`
+    returns are not copied.
     """
 
     sublattice: Sublattice
@@ -74,16 +76,13 @@ class _SiteTable:
     t: int
     _runs: tuple[int, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    _dtype: ClassVar[type]
-    _row_shape: ClassVar[tuple[int, ...]]
-
     def __post_init__(self) -> None:
         if self.sublattice not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sublattice!r}")
         xy = np.ascontiguousarray(self.xy, dtype=np.int64)
-        values = np.asarray(self.values, dtype=self._dtype)
-        if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], *self._row_shape):
-            raise ValueError(f"xy must be (n, 2) and values (n,) + {self._row_shape}")
+        values = np.asarray(self.values, dtype=np.complex128)
+        if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], 3):
+            raise ValueError("xy must be (n, 2) and values (n, 3)")
         runs = _column_runs(xy)
         if runs is None:
             raise ValueError("no walk from one site reaches these rows, or one is past 2**59")
@@ -96,49 +95,29 @@ class _SiteTable:
     def __len__(self) -> int:
         return self.xy.shape[0]
 
-    def _lookup(self, site: Site) -> np.ndarray:
-        """The row at ``site`` (a binary search in ``xy``), or zeros if unoccupied."""
+    def amplitude(self, site: Site) -> np.ndarray:
+        """Amplitude triple at ``site`` (a binary search in ``xy``; zeros if unoccupied)."""
         if site.sub == self.sublattice:
             xs = self.xy[:, 0]
             lo = int(np.searchsorted(xs, site.x, side="left"))
             hi = int(np.searchsorted(xs, site.x, side="right"))
             i = lo + int(np.searchsorted(self.xy[lo:hi, 1], site.y))
             if i < hi and self.xy[i, 1] == site.y:
-                return self.values[i]
-        return np.zeros(self._row_shape, dtype=self._dtype)
-
-
-@dataclass(frozen=True)
-class WaveFunction(_SiteTable):
-    """Sparse walker state at step ``t``: complex amplitude triples per site.
-
-    Its rows are a state a walk from one site reaches, checked when the
-    table is built, so :func:`step` takes any wave function.
-    """
-
-    _dtype = np.complex128
-    _row_shape = (3,)
-
-    def amplitude(self, site: Site) -> np.ndarray:
-        """Amplitude triple at ``site`` (zeros if unoccupied)."""
-        return self._lookup(site).copy()
+                return self.values[i].copy()
+        return np.zeros(3, dtype=np.complex128)
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
 @dataclass(frozen=True)
-class Distribution(_SiteTable):
-    """Per-site probabilities at step ``t`` on the rows of a walk's state, checked when built."""
+class Distribution:
+    """Per-site probabilities ``values`` on the rows ``xy`` of a wave function, unchecked."""
 
-    _dtype = np.float64
-    _row_shape = ()
-
-    def probability(self, site: Site) -> float:
-        return float(self._lookup(site))
-
-    def total(self) -> float:
-        return float(np.sum(self.values))
+    sublattice: Sublattice
+    xy: np.ndarray
+    values: np.ndarray
+    t: int
 
 
 def initial_wavefunction(state: CoinState) -> WaveFunction:
@@ -240,7 +219,7 @@ def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
 
 
 def distribution(wf: WaveFunction) -> Distribution:
-    """Per-site probabilities: the squared amplitude norm at each site."""
+    """Per-site probabilities: the squared amplitude norm on each row ``wf`` holds."""
     probs = np.einsum("ij,ij->i", wf.values.real, wf.values.real) \
         + np.einsum("ij,ij->i", wf.values.imag, wf.values.imag)
     return Distribution(wf.sublattice, wf.xy, probs, wf.t)

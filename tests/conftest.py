@@ -15,7 +15,7 @@ def random_theta(rng: np.random.Generator, margin: float = 0.05) -> float:
 
 
 def rows(table) -> dict:
-    """``{Site: row}`` for every row of a WaveFunction or Distribution, in row order."""
+    """``{Site: row}`` for every row of a WaveFunction, or of the Distribution laid on one."""
     return {Site(table.sublattice, x, y): v for (x, y), v in zip(table.xy.tolist(), table.values)}
 
 

@@ -103,15 +103,44 @@ _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 
     ["return-series", "--theta", "1e-9", "--state", "0,1,0", "--t-max", "4"],
     ["compare", "--theta", "6.283185307177", "--state", "0,1,0", "--t-max", "4",
      "--window", "3"],
+    ["limit", *_GROVER_BETA, "-x"],
 ], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
         "t_max-not-an-int", "format-unknown", "command-unknown",
         "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max",
         "theta-and-preset", "preset-unknown", "limit-theta-cosine-one",
-        "return-series-theta-cosine-one", "compare-theta-cosine-one"])
+        "return-series-theta-cosine-one", "compare-theta-cosine-one", "option-unknown"])
 def test_invalid_command_lines_rejected(argv):
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theta", "1", "--state", "-0.6,0,0.8"],
+    ["--theta", "-1e-3", "--state", "0,1,0"],
+    ["--theta", "-.5", "--state", "0,1,0"],
+], ids=["state-negative-first", "theta-negative-exponent", "theta-negative-leading-dot"])
+def test_negative_values_parse_as_in_the_equals_form(flags):
+    # argparse's own pattern takes only plain numbers such as -1 or -0.5 for values
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    spaced, equals = run_cli(["limit", *flags]), run_cli(["limit", *joined])
+    assert spaced == equals
+    assert spaced[1:] == ("", 0)
+
+
+def test_each_wave_function_is_checked_once(monkeypatch):
+    # t_max = 10: the initial state and ten steps; the distribution checks nothing again
+    calls = []
+    column_runs = hexwalk.evolution._column_runs
+
+    def counted(xy):
+        calls.append(len(xy))
+        return column_runs(xy)
+
+    monkeypatch.setattr(hexwalk.evolution, "_column_runs", counted)
+    out, err, code = run_cli(["simulate", *_GROVER_BETA, "--t-max", "10"])
+    assert (err, code) == ("", 0)
+    assert len(calls) == 11
 
 
 def test_small_resolved_angle_gives_finite_limit():
@@ -267,13 +296,20 @@ def test_json_table_matches_the_indenting_encoder(header, table):
     assert _json_table(header, columns, rows) == expected
 
 
-def test_runs_without_quadrature_do_not_import_scipy():
-    # A fresh interpreter, since this test process may already hold scipy.
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_GROVER_BETA, "--t-max", "10"],
+    ["return-series", *_GROVER_BETA, "--t-max", "10"],
+    ["compare", *_GROVER_BETA, "--t-max", "40", "--tolerance", "0.05"],
+    ["limit", *_GROVER_BETA],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_imports_scipy(argv):
+    # Only spectral.two_step_operator imports scipy.  A fresh interpreter,
+    # since this test process may already hold scipy.
     code = (
         "import contextlib, io, sys\n"
         "from hexwalk.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['limit', '--preset', 'grover', '--state', '0,1,0']) == 0\n"
+        f"    assert main({argv!r}) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     src = str(Path(hexwalk.__file__).resolve().parents[1])

@@ -9,7 +9,6 @@ import hexwalk.evolution
 from hexwalk import (
     CoinParams,
     CoinState,
-    Distribution,
     Site,
     WaveFunction,
     build_coin,
@@ -117,9 +116,10 @@ class TestStep:
         assert abs(wf.norm_squared() - 1.0) < 1e-10
 
     def test_matches_reference_stepper(self, grover_coin):
-        # every lookup in a box past the light cone, on both sublattices and
-        # in both site tables: sites the reference lacks (missing x, missing
-        # y, wrong sublattice) read as exact zeros
+        # every lookup in a box past the light cone, on both sublattices:
+        # sites the reference lacks (missing x, missing y, wrong sublattice)
+        # read as exact zeros, and the distribution has rows at exactly the
+        # reference's sites
         rng = np.random.default_rng(5)
         for _ in range(3):
             params = CoinParams(random_theta(rng))
@@ -139,15 +139,15 @@ class TestStep:
                     for y in range(-ny, ny + 1)
                 ]
                 assert set(ref) <= set(box)
-                dist = distribution(wf)
+                probs = rows(distribution(wf))
+                assert set(probs) == set(ref)
                 for site in box:
                     if site in ref:
                         np.testing.assert_allclose(wf.amplitude(site), ref[site], atol=1e-12)
                         expected = float(np.sum(np.abs(ref[site]) ** 2))
-                        assert abs(dist.probability(site) - expected) <= 1e-12
+                        assert abs(probs[site] - expected) <= 1e-12
                     else:
                         np.testing.assert_array_equal(wf.amplitude(site), np.zeros(3))
-                        assert dist.probability(site) == 0.0
 
     @pytest.mark.parametrize("x, y", [(0, 3_000_000), (-5, -2_097_152), (10**6, -2_097_153),
                                       (2**59 - 1, 1 - 2**59), (1 - 2**59, 2**59 - 1)])
@@ -277,11 +277,11 @@ class TestDistribution:
 
     def test_two_step_grover_origin(self, grover_coin):
         d = distribution(evolve(BETA_STATE, 2, grover_coin))
-        assert abs(d.probability(Site.a(0, 0)) - 1 / 9) < 1e-14
+        assert abs(rows(d)[Site.a(0, 0)] - 1 / 9) < 1e-14
 
     def test_sums_to_one(self, grover_coin):
         d = distribution(evolve(CoinState.uniform(), 60, grover_coin))
-        assert abs(d.total() - 1.0) < 1e-10
+        assert abs(d.values.sum() - 1.0) < 1e-10
         assert np.all(d.values >= 0.0)
         assert np.all(d.values <= 1.0)
 
@@ -291,9 +291,9 @@ class TestDistribution:
         origin = Site.a(0, 0)
         peaked = distribution(evolve(BETA_STATE, 100, grover_coin))
         spread = distribution(evolve(CoinState.uniform(), 100, grover_coin))
-        assert peaked.probability(origin) == pytest.approx(peaked.values.max())
-        assert spread.probability(origin) < 0.01
-        assert spread.values.max() > spread.probability(origin)
+        assert rows(peaked)[origin] == pytest.approx(peaked.values.max())
+        assert rows(spread)[origin] < 0.01
+        assert spread.values.max() > rows(spread)[origin]
 
 
 class TestSiteTables:
@@ -308,23 +308,19 @@ class TestSiteTables:
     def test_rows_must_strictly_increase(self, xy):
         with pytest.raises(ValueError, match="no walk from one site reaches"):
             WaveFunction("A", xy, [[1, 0, 0], [0, 1, 0]], 0)
-        with pytest.raises(ValueError, match="no walk from one site reaches"):
-            Distribution("A", xy, [0.5, 0.5], 0)
 
     def test_unknown_sublattice_rejected(self):
         with pytest.raises(ValueError, match="sublattice tag"):
             WaveFunction("C", [[0, 0]], [[1, 0, 0]], 0)
-        with pytest.raises(ValueError, match="sublattice tag"):
-            Distribution("C", [[0, 0]], [1.0], 0)
 
     @pytest.mark.parametrize("xy, values", [
-        ([[0, 0, 0]], [1.0]),
-        ([[0, 0]], [0.5, 0.5]),
-        ([[0, 0]], [[1.0]]),
-    ], ids=["xy-three-columns", "values-longer", "values-2d"])
-    def test_distribution_shapes_checked(self, xy, values):
+        ([[0, 0, 0]], [[1, 0, 0]]),
+        ([[0, 0]], [[1, 0]]),
+        ([[0, 0]], [1, 0, 0]),
+    ], ids=["xy-three-columns", "values-two-columns", "values-1d"])
+    def test_wavefunction_shapes_checked(self, xy, values):
         with pytest.raises(ValueError, match="must be"):
-            Distribution("A", xy, values, 0)
+            WaveFunction("A", xy, values, 0)
 
 
 class TestReturnSeries:
