@@ -1,11 +1,12 @@
 """Tests of the command-line interface: golden output and input validation.
 
-Each golden case runs ``hexwalk.cli.main`` in-process and compares its stdout,
-stderr and exit code with the files under ``tests/golden/``: the CLI
-promises byte-identical output for identical configurations, so any
-difference is a behaviour change.  After an intended change, regenerate
-the files with ``PYTHONPATH=src python tests/test_cli.py`` and
-review the diff.
+Each case of ``tests/cli_cases.py`` runs ``hexwalk.cli.main`` in-process:
+a golden case must match its stdout, stderr and exit code under
+``tests/golden/`` byte for byte, since the CLI promises byte-identical
+output for identical configurations, and a rejected case must exit 1 with
+one ``error: `` line.  After an intended change, regenerate the golden files
+of the cases that own one with ``PYTHONPATH=src python tests/test_cli.py``
+and review the diff.
 """
 
 from __future__ import annotations
@@ -24,95 +25,60 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cli_cases
 import hexwalk
+from cli_cases import CASES, FILES, GOLDEN, GROVER_BETA, check, write_files
 from hexwalk.cli import _JSON_BLOCK_ROWS, _json_table, main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# Complex [re, im] amplitudes and an odd t_max, so simulate writes B rows.
-_COMPLEX = ["--config", str(GOLDEN / "complex_state.json")]
-_GROVER_BETA = ["--preset", "grover", "--state", "0,1,0"]
-_COMPARE = ["compare", *_GROVER_BETA, "--t-max", "80"]
-
-# name -> (argv, expected exit code)
-CASES: dict[str, tuple[list[str], int]] = {
-    "simulate_csv": (["simulate", *_COMPLEX], 0),
-    "simulate_csv_indices": (["simulate", *_COMPLEX, "--indices"], 0),
-    "simulate_json": (["simulate", *_COMPLEX, "--format", "json"], 0),
-    "simulate_json_indices": (["simulate", *_COMPLEX, "--format", "json", "--indices"], 0),
-    "simulate_text_rejected": (["simulate", *_COMPLEX, "--format", "text"], 1),
-    "return_series_csv": (
-        ["return-series", "--theta", "1.1", "--state", "0.6,0,0.8", "--t-max", "40"], 0
-    ),
-    "return_series_json": (
-        ["return-series", "--theta", "1.1", "--state", "0.6,0,0.8", "--t-max", "40",
-         "--format", "json"], 0
-    ),
-    "limit_default": (["limit", *_GROVER_BETA], 0),
-    "limit_text": (["limit", *_COMPLEX, "--format", "text"], 0),
-    "limit_json": (["limit", *_COMPLEX, "--format", "json"], 0),
-    "compare_pass_text": ([*_COMPARE, "--tolerance", "0.05"], 0),
-    "compare_fail_text": ([*_COMPARE, "--tolerance", "1e-4", "--format", "text"], 3),
-    "compare_pass_json": ([*_COMPARE, "--tolerance", "0.05", "--format", "json"], 0),
-    "compare_fail_json": ([*_COMPARE, "--tolerance", "1e-4", "--format", "json"], 3),
-    "compare_csv_rejected": ([*_COMPARE, "--format", "csv"], 1),
-}
+_CASE = {case.name: case for case in CASES}
 
 
-def run_cli(argv: list[str]) -> tuple[str, str, int]:
+def run_cli(argv: list[str] | tuple[str, ...]) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(list(argv))
     return out.getvalue(), err.getvalue(), code
 
 
-def _read(path: Path) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+@pytest.fixture
+def case_directory(tmp_path, monkeypatch):
+    # the working directory the console-script runner gives every case
+    write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
-    argv, expected_code = CASES[name]
-    out, err, code = run_cli(argv)
-    assert code == expected_code
-    assert err == _read(GOLDEN / f"{name}.stderr")
-    assert out == _read(GOLDEN / f"{name}.stdout")
+@pytest.mark.parametrize("case", [case for case in CASES if case.golden is not None],
+                         ids=lambda case: case.name)
+def test_cli_output_matches_golden(case_directory, case):
+    assert check(case, *run_cli(case.argv)) == []
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.golden is None],
+                         ids=lambda case: case.name)
+def test_invalid_command_lines_rejected(case_directory, case):
+    assert check(case, *run_cli(case.argv)) == []
+
+
+def test_each_golden_file_belongs_to_one_case():
+    # an alias reads another case's pair; complex_state.json is an input
+    assert len(_CASE) == len(CASES)
+    owners = [case.name for case in CASES if case.golden == case.name]
+    owned = {f"{name}.{stream}" for name in owners for stream in ("stdout", "stderr")}
+    files = {path.name for path in GOLDEN.iterdir()} - {"complex_state.json"}
+    assert owned == files
+    assert {case.golden for case in CASES} - {None} == set(owners)
+
+
+def test_runner_refuses_to_run_without_the_console_script(tmp_path):
+    # an empty PATH directory holds no hexwalk: the runner fails, it never skips
+    env = {**os.environ, "PATH": str(tmp_path)}
+    proc = subprocess.run([sys.executable, cli_cases.__file__], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert proc.stderr == "error: no 'hexwalk' console script on PATH\n"
 
 
 _BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 4}
-
-
-@pytest.mark.parametrize("argv", [
-    ["limit", "--theta", "nan", "--state", "0,1,0", "--format", "json"],
-    ["limit", "--theta", "inf", "--state", "0,1,0", "--format", "json"],
-    ["simulate", "--theta", "1.0", "--state", "nan,0,0", "--t-max", "2"],
-    ["limit", "--theta", "1", "--state", "1e200,0,0"],
-    ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3", "--tolerance", "nan"],
-    ["simulate", *_GROVER_BETA, "--t-max", "abc"],
-    ["simulate", *_GROVER_BETA, "--format", "xml"],
-    ["bogus", *_GROVER_BETA],
-    ["limit", *_GROVER_BETA, "--t-max", "5"],
-    ["limit", *_GROVER_BETA, "--indices"],
-    ["return-series", *_GROVER_BETA, "--window", "3"],
-    ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "4"],
-    ["limit", "--theta", "1", *_GROVER_BETA],
-    ["limit", "--preset", "foo", "--state", "0,1,0"],
-    # cos(theta) rounds to 1 here, where the limit laws divide by 1 - cos(theta)
-    ["limit", "--theta", "1e-9", "--state", "0,1,0"],
-    ["return-series", "--theta", "1e-9", "--state", "0,1,0", "--t-max", "4"],
-    ["compare", "--theta", "6.283185307177", "--state", "0,1,0", "--t-max", "4",
-     "--window", "3"],
-    ["limit", *_GROVER_BETA, "-x"],
-], ids=["theta-nan", "theta-inf", "state-nan", "state-overflow", "tolerance-nan",
-        "t_max-not-an-int", "format-unknown", "command-unknown",
-        "limit-t_max", "limit-indices", "return-series-window", "window-past-t_max",
-        "theta-and-preset", "preset-unknown", "limit-theta-cosine-one",
-        "return-series-theta-cosine-one", "compare-theta-cosine-one", "option-unknown"])
-def test_invalid_command_lines_rejected(argv):
-    out, err, code = run_cli(argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -138,7 +104,7 @@ def test_each_wave_function_is_checked_once(monkeypatch):
         return column_runs(xy)
 
     monkeypatch.setattr(hexwalk.evolution, "_column_runs", counted)
-    out, err, code = run_cli(["simulate", *_GROVER_BETA, "--t-max", "10"])
+    out, err, code = run_cli(["simulate", *GROVER_BETA, "--t-max", "10"])
     assert (err, code) == ("", 0)
     assert len(calls) == 11
 
@@ -165,8 +131,8 @@ def _bare_out_of_memory(*args):
     (_bare_out_of_memory, "\n"),
 ], ids=["numpy", "bare"])
 @pytest.mark.parametrize("name, argv", [
-    ("evolve", ["simulate", *_GROVER_BETA, "--t-max", "4"]),
-    ("origin_amplitudes", ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3"]),
+    ("evolve", ["simulate", *GROVER_BETA, "--t-max", "4"]),
+    ("origin_amplitudes", ["compare", *GROVER_BETA, "--t-max", "4", "--window", "3"]),
 ], ids=["simulate", "compare"])
 def test_out_of_memory_exits_1_with_one_line(monkeypatch, name, argv, raiser, detail):
     # a run too large for memory is bad input, never a traceback or a bare "error: "
@@ -201,28 +167,27 @@ def test_badly_typed_config_values_rejected(tmp_path, command, override):
 
 
 @pytest.mark.parametrize("text", [
-    "[" * 200000 + "]" * 200000,
+    FILES["deep.json"],
     '{"theta": 1.0, "alpha": ' + "[" * 200000 + "]" * 200000 + ', "beta": 1, "gamma": 0}',
 ], ids=["top-level", "in-a-key"])
-def test_deeply_nested_config_rejected(tmp_path, text):
-    # json.load gives up with RecursionError, which json.dumps cannot provoke
-    config = tmp_path / "deep.json"
-    config.write_text(text, encoding="utf-8")
-    out, err, code = run_cli(["limit", "--theta", "1", "--state", "0,1,0", "--config", str(config)])
+def test_deeply_nested_config_rejected(tmp_path, monkeypatch, text):
+    (tmp_path / "deep.json").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out, err, code = run_cli(_CASE["config-nested-too-deeply"].argv)
     assert (code, out) == (1, "")
     assert err == "error: config file is nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv, config", [
-    ([*_GROVER_BETA, "--t-max", "4", "--window", "4"], None),
-    ([], {**_BASE_CONFIG, "window": 4}),
+    (_CASE["window-past-t_max"].argv, None),
+    (["compare"], {**_BASE_CONFIG, "window": 4}),
 ], ids=["flag", "config"])
 def test_compare_window_error_names_largest_window(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        argv = ["--config", str(path)]
-    out, err, code = run_cli(["compare", *argv])
+        argv = [*argv, "--config", str(path)]
+    out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: window must be at most 3,") and err.count("\n") == 1
 
@@ -230,7 +195,7 @@ def test_compare_window_error_names_largest_window(tmp_path, argv, config):
 def test_compare_window_may_span_every_even_time():
     # t_max 4 has the three even times 0, 2 and 4: window 3 averages them all
     out, err, code = run_cli(
-        ["compare", *_GROVER_BETA, "--t-max", "4", "--window", "3", "--format", "json"]
+        ["compare", *GROVER_BETA, "--t-max", "4", "--window", "3", "--format", "json"]
     )
     assert (err, code) == ("", 3)
     coin = hexwalk.build_coin(hexwalk.CoinParams.grover())
@@ -297,10 +262,10 @@ def test_json_table_matches_the_indenting_encoder(header, table):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", *_GROVER_BETA, "--t-max", "10"],
-    ["return-series", *_GROVER_BETA, "--t-max", "10"],
-    ["compare", *_GROVER_BETA, "--t-max", "40", "--tolerance", "0.05"],
-    ["limit", *_GROVER_BETA],
+    ["simulate", *GROVER_BETA, "--t-max", "10"],
+    ["return-series", *GROVER_BETA, "--t-max", "10"],
+    ["compare", *GROVER_BETA, "--t-max", "40", "--tolerance", "0.05"],
+    list(_CASE["limit_default"].argv),
 ], ids=lambda argv: argv[0])
 def test_no_subcommand_imports_scipy(argv):
     # Only spectral.two_step_operator imports scipy.  A fresh interpreter,
@@ -320,9 +285,11 @@ def test_no_subcommand_imports_scipy(argv):
 
 
 if __name__ == "__main__":
-    for name, (argv, _) in sorted(CASES.items()):
-        out, err, code = run_cli(argv)
+    for case in CASES:
+        if case.golden != case.name:
+            continue
+        out, err, code = run_cli(case.argv)
         for suffix, text in (("stdout", out), ("stderr", err)):
-            with open(GOLDEN / f"{name}.{suffix}", "w", encoding="utf-8", newline="") as fh:
+            with open(GOLDEN / f"{case.name}.{suffix}", "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        print(f"{name}: exit {code}")
+        print(f"{case.name}: exit {code}")

@@ -269,6 +269,15 @@ class TestSupport:
             assert max(distances) == t
             assert all(d <= t and (t - d) % 2 == 0 for d in distances)
 
+    def test_light_cone_row_count_in_closed_form(self):
+        # the row count behind the size model for evolve's memory and time
+        for params, state in WALKS:
+            coin = build_coin(params)
+            wf = initial_wavefunction(state)
+            for t in range(61):
+                assert len(wf) == (3 * t * t + 6 * t + 4) // 4, (params.theta, t)
+                wf = step(wf, coin)
+
 
 class TestDistribution:
     def test_initial(self):
