@@ -23,8 +23,6 @@ __all__ = [
     "build_coin",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 #: Angle at which the coin family reduces to the Grover diffusion matrix.
 GROVER_THETA = math.acos(-1.0 / 3.0)
 
@@ -49,7 +47,7 @@ class CoinParams:
         theta = float(self.theta)
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        theta %= _TWO_PI
+        theta %= math.tau
         if theta == GROVER_THETA:
             c, s = -1.0 / 3.0, 2.0 * math.sqrt(2.0) / 3.0
         else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hexwalk import (
+    GROVER_THETA,
     CoinParams,
     CoinState,
     Momentum,
@@ -97,6 +98,24 @@ class TestTwoStepOperator:
             assert 0.0 < nu2 <= math.pi or nu2 < 1e-10
             assert phase_distance(nu2 + nu3, 0.0) < 1e-10
 
+    @pytest.mark.parametrize("theta", [0.3, 1.0, GROVER_THETA, 2.5, 4.0],
+                             ids=["0.3", "1.0", "grover", "2.5", "4.0"])
+    def test_eigenpairs_at_degeneracies(self, theta):
+        # k = 0 and the corners make all three phases equal, and the band
+        # bottom (c < 0) makes nu2 = nu3 = pi, where the two phases tie
+        params = CoinParams(theta)
+        points = [(0.0, 0.0), (math.pi, math.pi), (math.pi, -math.pi), (1e-9, 2e-9)]
+        if params.c < 0:
+            points.append((math.pi, math.acos((1.0 + params.c) / (1.0 - params.c))))
+        coin = build_coin(params)
+        for a, b in points:
+            op = two_step_operator(Momentum(a, b), coin)
+            v = op.eigenvectors
+            residual = op.matrix @ v - v * np.exp(1j * np.array(op.eigenphases))
+            assert np.linalg.norm(residual, 2) <= 1e-13
+            assert np.linalg.norm(v.conj().T @ v - np.eye(3), 2) <= 1e-13
+            assert phase_distance(op.eigenphases[1] + op.eigenphases[2], 0.0) < 1e-12
+
 
 class TestEigenphasesClosedForm:
     def test_zero_momentum(self):
@@ -157,6 +176,14 @@ class TestFourierEvolve:
             v = op.matrix @ v
         np.testing.assert_allclose(fourier_evolve(state, 7, m, grover_coin), v, atol=1e-12)
 
+    @pytest.mark.parametrize("t", [1, True, np.int64(3)], ids=["int", "bool", "numpy"])
+    def test_integer_counts_accepted(self, grover_coin, t):
+        m = Momentum(0.9, -2.1)
+        out = fourier_evolve(CoinState.uniform(), t, m, grover_coin)
+        np.testing.assert_array_equal(
+            out, fourier_evolve(CoinState.uniform(), int(t), m, grover_coin)
+        )
+
     def test_norm_preserved_for_huge_times(self, grover_coin):
         out = fourier_evolve(CoinState.uniform(), 10**6, Momentum(1.1, 0.7), grover_coin)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
@@ -204,3 +231,22 @@ class TestInverseTransform:
     def test_grid_validation(self, grover_coin):
         with pytest.raises(ValueError):
             inverse_transform_site(CoinState(0, 1, 0), 1, 0, 0, 0, grover_coin)
+
+    @pytest.mark.parametrize("grid_n", [16, np.int64(16)], ids=["int", "numpy"])
+    def test_integer_grid_accepted(self, grover_coin, grid_n):
+        out = inverse_transform_site(CoinState(0, 1, 0), 1, 0, 0, grid_n, grover_coin)
+        np.testing.assert_array_equal(
+            out, inverse_transform_site(CoinState(0, 1, 0), 1, 0, 0, 16, grover_coin)
+        )
+
+
+@pytest.mark.parametrize("call", [
+    lambda coin: fourier_evolve(CoinState.uniform(), 2.5, Momentum(1, 1), coin),
+    lambda coin: fourier_evolve(CoinState.uniform(), 2.0, Momentum(1, 1), coin),
+    lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 2.5, coin),
+    lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 16.0, coin),
+], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0"])
+def test_float_counts_rejected(grover_coin, call):
+    # as in evolve: a count is an integer, and U2^2.5 or a 2.5-point grid is not defined
+    with pytest.raises(TypeError):
+        call(grover_coin)
