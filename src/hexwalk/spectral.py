@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Momentum:
-    """Quasi-momentum pair, wrapped into the fundamental domain [-pi, pi)^2."""
+    """Finite quasi-momentum pair, wrapped into the fundamental domain [-pi, pi)^2."""
 
     a: float
     b: float
@@ -51,6 +51,8 @@ class Momentum:
     def __post_init__(self) -> None:
         for name in ("a", "b"):
             v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"momentum {name} must be finite, got {v!r}")
             object.__setattr__(self, name, (v + math.pi) % math.tau - math.pi)
 
 
@@ -95,19 +97,19 @@ def _power(
 def two_step_operator(m: Momentum, coin: np.ndarray) -> TwoStepOperator:
     """Build U2(a, b) and its eigen-decomposition at one momentum point.
 
-    The decomposition uses a complex Schur factorization: for a unitary
-    (hence normal) matrix the Schur form is diagonal to machine precision
-    and the Schur vectors are an exactly orthonormal eigenbasis, including
-    at degenerate momenta.  The flat-band column is identified as the
-    eigenvalue closest to 1 and its phase is reported as exactly 0; the
-    other two follow in one stable sort on phase, which realizes the
-    (nu2, 2*pi - nu2) labeling away from degeneracies.
+    The eigenvectors are the Q factor of ``np.linalg.eig``'s vectors.  LAPACK's
+    ``zgeev`` computes the Schur form Z T Z^H and returns V = Z X, with X upper
+    triangular in the order of the eigenvalues, so the Q factor of V is Z up
+    to one unit phase per column.  U2 is unitary, hence normal, so Z is an
+    orthonormal eigenbasis, including at degenerate momenta; its row and
+    column norms are equal, so balancing does not rescale it.  The flat-band
+    column is identified as the eigenvalue closest to 1 and its phase is
+    reported as exactly 0; the other two follow in one stable sort on phase,
+    which realizes the (nu2, 2*pi - nu2) labeling away from degeneracies.
     """
-    import scipy.linalg  # imported on first use: most CLI runs never need scipy
-
     matrix = _power(np.eye(3, dtype=complex), 1, m.a, m.b, coin)
-    tri, vecs = scipy.linalg.schur(matrix, output="complex")
-    lam = np.diag(tri)
+    lam, vecs = np.linalg.eig(matrix)
+    vecs = np.linalg.qr(vecs)[0]
     phases = np.mod(np.angle(lam), math.tau)
     flat = int(np.argmin(np.abs(lam - 1.0)))
     order = [flat, *sorted((i for i in range(3) if i != flat), key=lambda i: phases[i])]
@@ -191,7 +193,7 @@ def inverse_transform_site(
     on a 96 x 96 grid one call takes 5-9 ms on one core.  The grid sum runs
     in a fixed order, so repeated calls are bit-identical.
     """
-    grid_n = operator.index(grid_n)
+    x, y, grid_n = operator.index(x), operator.index(y), operator.index(grid_n)
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
     if t < 0:

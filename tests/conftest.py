@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexwalk
 from hexwalk import CoinParams, CoinState, Site, build_coin
 
 
@@ -23,6 +28,18 @@ def random_state(rng: np.random.Generator) -> CoinState:
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v /= np.linalg.norm(v)
     return CoinState(v[0], v[1], v[2])
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package under test.
+
+    A fresh process, since this one may already hold modules (scipy, say)
+    that the code must not import.
+    """
+    src = str(Path(hexwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="session")

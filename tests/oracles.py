@@ -7,9 +7,11 @@ from BFS; the Green-integral oracles are a regularized two-dimensional
 Riemann sum and adaptive quadrature (scipy's ``quad`` and mpmath's
 tanh-sinh) of the pointwise difference of two reduced integrands (the
 library integrates each site against an anchor on Gauss-Legendre nodes
-instead); and the two-step momentum operator is one einsum of its
+instead); the two-step momentum operator is one einsum of its
 definition, whose flat band is a null vector found by cross products, with
-no eigensolver.
+no eigensolver; and its eigenpairs come from scipy's complex Schur
+factorization (the library takes them from ``np.linalg.eig`` and one QR).
+Only these oracles import scipy: the package itself runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections import deque
 
 import mpmath
 import numpy as np
+import scipy.linalg
 from scipy import integrate
 
 from hexwalk import Site
@@ -197,3 +200,14 @@ def flat_band_vectors(coin: np.ndarray, n: int) -> np.ndarray:
     )
     best = crosses[np.arange(a.size), np.linalg.norm(crosses, axis=2).argmax(axis=1)]
     return best / np.linalg.norm(best, axis=1, keepdims=True)
+
+
+def schur_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a normal matrix, by complex Schur.
+
+    For a normal matrix the triangular factor of ``scipy.linalg.schur`` is
+    diagonal to round-off, so its diagonal holds the eigenvalues and the
+    unitary factor's columns an eigenbasis, in the same order.
+    """
+    tri, vecs = scipy.linalg.schur(matrix, output="complex")
+    return np.diag(tri), vecs

@@ -18,7 +18,6 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from hypothesis import strategies as st
 import cli_cases
 import hexwalk
 from cli_cases import CASES, FILES, GOLDEN, GROVER_BETA, check, write_files
+from conftest import run_fresh
 from hexwalk.cli import _JSON_BLOCK_ROWS, _json_table, main
 
 _CASE = {case.name: case for case in CASES}
@@ -268,8 +268,8 @@ def test_json_table_matches_the_indenting_encoder(header, table):
     list(_CASE["limit_default"].argv),
 ], ids=lambda argv: argv[0])
 def test_no_subcommand_imports_scipy(argv):
-    # Only spectral.two_step_operator imports scipy.  A fresh interpreter,
-    # since this test process may already hold scipy.
+    # The package never imports scipy (test_spectral pins that for the library
+    # entry points); no subcommand may pull it in through an import either.
     code = (
         "import contextlib, io, sys\n"
         "from hexwalk.cli import main\n"
@@ -277,10 +277,7 @@ def test_no_subcommand_imports_scipy(argv):
         f"    assert main({argv!r}) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    src = str(Path(hexwalk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 

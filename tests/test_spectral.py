@@ -17,8 +17,8 @@ from hexwalk import (
     two_step_operator,
 )
 
-from conftest import random_state, random_theta, rows
-from oracles import two_step_matrices
+from conftest import random_state, random_theta, rows, run_fresh
+from oracles import schur_eigenpairs, two_step_matrices
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +26,15 @@ TWO_PI = 2.0 * math.pi
 def phase_distance(p, q):
     d = abs(p - q) % TWO_PI
     return min(d, TWO_PI - d)
+
+
+def degeneracy_points(params):
+    # k = 0 and the corners make all three phases equal, and the band
+    # bottom (c < 0) makes nu2 = nu3 = pi, where the two phases tie
+    points = [(0.0, 0.0), (math.pi, math.pi), (math.pi, -math.pi), (1e-9, 2e-9), (1e-15, 2e-15)]
+    if params.c < 0:
+        points.append((math.pi, math.acos((1.0 + params.c) / (1.0 - params.c))))
+    return points
 
 
 class TestMomentum:
@@ -37,6 +46,12 @@ class TestMomentum:
     def test_in_range_values_unchanged(self):
         m = Momentum(0.5, -0.25)
         assert (m.a, m.b) == (0.5, -0.25)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"momentum {name} must be finite"):
+            Momentum(**{"a": 0.5, "b": -0.25, name: value})
 
 
 class TestTwoStepOperator:
@@ -98,23 +113,45 @@ class TestTwoStepOperator:
             assert 0.0 < nu2 <= math.pi or nu2 < 1e-10
             assert phase_distance(nu2 + nu3, 0.0) < 1e-10
 
-    @pytest.mark.parametrize("theta", [0.3, 1.0, GROVER_THETA, 2.5, 4.0],
-                             ids=["0.3", "1.0", "grover", "2.5", "4.0"])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, GROVER_THETA, 2.5, 4.0, 1e-7, math.pi - 1e-4],
+                             ids=["0.3", "1.0", "grover", "2.5", "4.0", "1e-7", "pi-1e-4"])
     def test_eigenpairs_at_degeneracies(self, theta):
-        # k = 0 and the corners make all three phases equal, and the band
-        # bottom (c < 0) makes nu2 = nu3 = pi, where the two phases tie
         params = CoinParams(theta)
-        points = [(0.0, 0.0), (math.pi, math.pi), (math.pi, -math.pi), (1e-9, 2e-9)]
-        if params.c < 0:
-            points.append((math.pi, math.acos((1.0 + params.c) / (1.0 - params.c))))
         coin = build_coin(params)
-        for a, b in points:
+        for a, b in degeneracy_points(params):
             op = two_step_operator(Momentum(a, b), coin)
             v = op.eigenvectors
             residual = op.matrix @ v - v * np.exp(1j * np.array(op.eigenphases))
             assert np.linalg.norm(residual, 2) <= 1e-13
             assert np.linalg.norm(v.conj().T @ v - np.eye(3), 2) <= 1e-13
             assert phase_distance(op.eigenphases[1] + op.eigenphases[2], 0.0) < 1e-12
+
+    @pytest.mark.parametrize("theta", [GROVER_THETA, 1.0, 2.5, 1e-7, math.pi - 1e-4],
+                             ids=["grover", "1.0", "2.5", "1e-7", "pi-1e-4"])
+    def test_eigenpairs_match_schur_oracle(self, theta):
+        # Each phase lies within 1e-13 of a Schur eigenvalue on the unit
+        # circle.  Where the eigenvalues are 1e-2 apart or more, the matrix
+        # fixes each column to about 1e-14 up to its phase, so the columns
+        # must match Schur's too; closer (at theta = 1e-7 every gap is below
+        # 3e-7) only the residual and orthonormality are defined.
+        params = CoinParams(theta)
+        coin = build_coin(params)
+        rng = np.random.default_rng(53)
+        randoms = [tuple(rng.uniform(-math.pi, math.pi, 2)) for _ in range(200)]
+        for a, b in degeneracy_points(params) + randoms:
+            op = two_step_operator(Momentum(a, b), coin)
+            v = op.eigenvectors
+            e = np.exp(1j * np.array(op.eigenphases))
+            lam, z = schur_eigenpairs(op.matrix)
+            dist = np.abs(e[:, None] - lam)
+            assert dist.min(axis=1).max() <= 1e-13
+            residual = op.matrix @ v - v * e
+            assert np.linalg.norm(residual, 2) <= 1e-13
+            assert np.linalg.norm(v.conj().T @ v - np.eye(3), 2) <= 1e-13
+            if min(abs(lam[i] - lam[j]) for i, j in [(0, 1), (0, 2), (1, 2)]) >= 1e-2:
+                match = z[:, dist.argmin(axis=1)]
+                unit = np.sum(match.conj() * v, axis=0)
+                assert np.max(np.abs(v - match * (unit / np.abs(unit)))) <= 1e-13
 
 
 class TestEigenphasesClosedForm:
@@ -140,8 +177,9 @@ class TestEigenphasesClosedForm:
         b_star = math.acos((1.0 + params.c) / (1.0 - params.c))
         m = Momentum(math.pi, b_star + delta)
         closed = eigenphases_closed_form(m, params)
-        numeric = two_step_operator(m, build_coin(params)).eigenphases
-        assert abs(closed[1] - numeric[1]) < 1e-13
+        matrix = two_step_matrices(build_coin(params), np.array([m.a]), np.array([m.b]))[0]
+        lam, _ = schur_eigenpairs(matrix)
+        assert min(phase_distance(closed[1], p) for p in np.angle(lam)) < 1e-13
 
     def test_matches_numerical_phases(self):
         rng = np.random.default_rng(31)
@@ -245,8 +283,32 @@ class TestInverseTransform:
     lambda coin: fourier_evolve(CoinState.uniform(), 2.0, Momentum(1, 1), coin),
     lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 2.5, coin),
     lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 16.0, coin),
-], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0"])
+    lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0.5, 0, 16, coin),
+    lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0, 0.5, 16, coin),
+    lambda coin: inverse_transform_site(CoinState.uniform(), 1, math.nan, 0, 16, coin),
+], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan"])
 def test_float_counts_rejected(grover_coin, call):
-    # as in evolve: a count is an integer, and U2^2.5 or a 2.5-point grid is not defined
+    # as in evolve: a count is an integer, and U2^2.5 or a 2.5-point grid is not
+    # defined; nor is a site at x = 0.5, which is no lattice site
     with pytest.raises(TypeError):
         call(grover_coin)
+
+
+def test_package_never_imports_scipy():
+    # scipy serves only the test oracles; every entry point runs on numpy alone
+    code = (
+        "import sys\n"
+        "from hexwalk import *\n"
+        "params = CoinParams(1.0)\n"
+        "coin, state, m = build_coin(params), CoinState(0.6, 0.0, 0.8), Momentum(0.9, -2.1)\n"
+        "two_step_operator(m, coin)\n"
+        "fourier_evolve(state, 7, m, coin)\n"
+        "inverse_transform_site(state, 2, 1, 1, 8, coin)\n"
+        "eigenphases_closed_form(m, params)\n"
+        "asymptotic_amplitude(2, 0, params, state)\n"
+        "g_difference(1, 1, 2, 0, params)\n"
+        "evolve(state, 4, coin)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
