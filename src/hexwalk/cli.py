@@ -10,21 +10,26 @@ Four subcommands are provided::
 simulate and return-series write tables as csv (the default) or json;
 limit and compare write reports as text (the default) or json.  The model
 is deterministic, so identical configurations produce byte-identical
-output files.  Exit codes: 0 success, 1 invalid input (one ``error:`` line,
-malformed command lines and runs too large for memory included), 3 comparison
-failure.
+output files.  A table is written a block of rows at a time, as it is
+formatted, so simulate's peak memory is the walk's.  ``--out`` replaces its
+file only once the output is complete, and a reader that closes stdout
+early ends the output quietly.  Exit codes: 0 success, 1 invalid input (one
+``error:`` line, malformed command lines and runs too large for memory
+included), 3 comparison failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
+import os
 import re
+import stat
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -187,15 +192,57 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream a command writes to: stdout, or the file at ``path``.
+
+    A regular file, or a path where no file exists yet, is written under a
+    temporary name in its directory and replaced only once the output is
+    complete, so a run that fails midway leaves the old file, or none.  The
+    path is resolved through symlinks first: a link stays a link, and its
+    target gets the bytes.  Any other file, such as a FIFO or a device, is
+    written in place.  A reader that closes stdout early ends the output
+    quietly.
+    """
     if path is None:
-        sys.stdout.write(text)
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # What is still buffered, and the interpreter's last flush, go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path!r}: {exc}") from exc
+        target = os.path.realpath(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        directory, name = os.path.split(target)
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        fh = open(temp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                if mode is not None:  # the new file keeps the old one's permissions
+                    os.chmod(fh.fileno(), stat.S_IMODE(mode))
+                yield fh
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:  # strerror alone: the file named may be the temporary one
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, fh: TextIO) -> None:
+    """Write one block of output; the benchmark's tracer times each call and counts its text."""
+    fh.write(text)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -214,47 +261,71 @@ def _state_header(command: str, params: CoinParams, state: CoinState) -> dict:
 def _write(config: RunConfig, payload: dict, lines: Iterable[str]) -> None:
     """Write ``payload`` as JSON if the format is json, else the text ``lines``."""
     text = json.dumps(payload, indent=2) if config.fmt == "json" else "\n".join(lines)
-    _emit(text + "\n", config.output_path)
+    with _output(config.output_path) as fh:
+        _emit(text + "\n", fh)
 
 
-# Rows per C-encoder call in ``_json_table``: each block's text stays near
-# 100 kB, so no multi-megabyte string is grown by repeated reallocation.
-_JSON_BLOCK_ROWS = 1024
+# Rows per block of ``_write_table``: the cells and text of one block, a few
+# hundred kB, are all it holds beside the table's own arrays.
+_BLOCK_ROWS = 4096
 
 
-def _json_table(header: dict, columns: list[str], rows: list) -> str:
-    """The text of ``json.dumps({**header, "columns": columns, "rows": rows}, indent=2)``
-    and a newline.
+def _field(is_float: bool, as_json: bool) -> str:
+    """The replacement field of one cell: floats as ``json`` writes them, or
+    to 13 significant digits in csv; ints as themselves."""
+    if is_float:
+        return "{!r}" if as_json else "{:.12e}"
+    return "{}"
 
-    Only the header goes through the indenting encoder, which is pure Python.
-    The rows go through the C encoder a block at a time, with the indent of a
-    cell written into its item separator; a JSON string holds no raw newline,
-    so the separator between two rows is found by a replace.
+
+def _write_table(config: RunConfig, header: dict, columns: dict[str, object]) -> None:
+    """Write the table ``columns`` as CSV, or as JSON after ``header``, a block of
+    rows at a time.
+
+    A column is a constant, written into the row template once; a 1-D array,
+    whose cells are formatted a block at a time; or the pair ``(values,
+    index)`` that ``np.unique(..., return_inverse=True)`` returns, whose
+    distinct values are formatted once and picked per row.  The text equals
+    ``json.dumps({**header, "columns": [...], "rows": [...]}, indent=2)`` and a
+    newline, or the header line and one ``str.format`` line per row.
     """
-    text = json.dumps({**header, "columns": columns, "rows": []}, indent=2)
-    if not rows:
-        return text + "\n"
-    between_rows = "\n    ],\n    [\n      "
-    blocks = [
-        json.dumps(rows[i : i + _JSON_BLOCK_ROWS], separators=(",\n      ", ": "))[2:-2]
-        .replace("],\n      [", between_rows)
-        for i in range(0, len(rows), _JSON_BLOCK_ROWS)
-    ]
-    return "".join(
-        (text[: -len("[]\n}")], "[\n    [\n      ", between_rows.join(blocks), "\n    ]\n  ]\n}\n")
-    )
-
-
-def _write_table(
-    config: RunConfig, header: dict, columns: list[str], row_format: str, rows: list
-) -> None:
-    """Write ``rows`` as CSV lines in ``row_format``, or as JSON after ``header``."""
-    if config.fmt == "json":
-        text = _json_table(header, columns, rows)
+    as_json = config.fmt == "json"
+    fields, varying = [], []  # varying: (formatted values or None, array) per non-constant column
+    for column in columns.values():
+        if isinstance(column, tuple):
+            values, index = column
+            field = _field(values.dtype.kind == "f", as_json)
+            cells = np.array([field.format(v) for v in values.tolist()], dtype=object)
+            fields.append("{}")
+            varying.append((cells, index))
+        elif isinstance(column, np.ndarray):
+            fields.append(_field(column.dtype.kind == "f", as_json))
+            varying.append((None, column))
+        else:  # a constant, written into the template as its own text
+            field = _field(isinstance(column, float), as_json)
+            text = json.dumps(column) if as_json else field.format(column)
+            fields.append(text.replace("{", "{{").replace("}", "}}"))
+    rows = len(varying[0][1])
+    if as_json:
+        head = json.dumps({**header, "columns": list(columns), "rows": []}, indent=2)
+        head = head[: -len("]\n}")]
+        row = ",\n    [\n      " + ",\n      ".join(fields) + "\n    ]"
+        tail = "\n  ]\n}\n" if rows else "]\n}\n"
+        skip = len(",")  # the first row follows the head with no comma
     else:
-        lines = itertools.chain([",".join(columns)], (row_format.format(*r) for r in rows))
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.output_path)
+        head, row, tail, skip = ",".join(columns), "\n" + ",".join(fields), "\n", 0
+
+    width = len(varying)
+    with _output(config.output_path) as fh:
+        for start in range(0, rows, _BLOCK_ROWS):
+            count = min(_BLOCK_ROWS, rows - start)
+            flat = [None] * (width * count)
+            for j, (cells, array) in enumerate(varying):
+                block = array[start : start + count]
+                flat[j::width] = (block if cells is None else np.take(cells, block)).tolist()
+            _emit(head + (row * count).format(*flat)[skip:], fh)
+            head, skip = "", 0
+        _emit(head + tail, fh)
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -267,16 +338,14 @@ def cmd_simulate(config: RunConfig) -> int:
     dist = distribution(evolve(state, config.t_max, build_coin(params)))
 
     header = {**_state_header("simulate", params, state), "t": config.t_max}
-    # No column list or coordinate array outlives its zip, so the formatting
-    # peaks no higher in memory than with rows built one at a time.
-    x, y, probs = dist.xy[:, 0], dist.xy[:, 1], dist.values
+    # A coordinate column takes at most 2 t_max + 1 values: each is formatted once.
+    (xs, x_at), (ys, y_at) = (np.unique(c, return_inverse=True) for c in dist.xy.T)
     if config.indices:
-        rows = list(zip([dist.sublattice] * len(probs), x.tolist(), y.tolist(), probs.tolist()))
-        _write_table(config, header, ["sub", "x", "y", "prob"], "{},{},{},{:.12e}", rows)
+        columns = {"sub": dist.sublattice, "x": (xs, x_at), "y": (ys, y_at), "prob": dist.values}
     else:
-        points = (c.tolist() for c in physical_coordinates(dist.sublattice, x, y))
-        rows = list(zip(*points, probs.tolist()))
-        _write_table(config, header, ["px", "py", "prob"], "{:.12e},{:.12e},{:.12e}", rows)
+        px, py = physical_coordinates(dist.sublattice, xs, ys)
+        columns = {"px": (px, x_at), "py": (py, y_at), "prob": dist.values}
+    _write_table(config, header, columns)
     return EXIT_OK
 
 
@@ -288,10 +357,10 @@ def cmd_return_series(config: RunConfig) -> int:
     """
     params, state = config.params, config.state
     limit_value = limit_return_probability(params, state)
-    series = return_series(state, config.t_max, build_coin(params))
-    rows = [(t, p, limit_value) for t, p in series]
+    times, probs = zip(*return_series(state, config.t_max, build_coin(params)))
     header = {**_state_header("return-series", params, state), "t_max": config.t_max}
-    _write_table(config, header, ["t", "p_origin", "limit"], "{},{:.12e},{:.12e}", rows)
+    columns = {"t": np.array(times), "p_origin": np.array(probs), "limit": limit_value}
+    _write_table(config, header, columns)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 A case runs one argv and expects an exit code and one of two outcomes:
 the golden pair ``tests/golden/<golden>.stdout`` and ``.stderr``, byte for
 byte, or, with no golden, rejection: exit 1, empty stdout and one stderr
-line that starts with ``error: ``.  Cases run in a working directory that
-holds ``FILES``.
+line that starts with ``error: ``.  A case with ``out`` writes its output
+with ``--out`` to that file: the file must hold the stdout golden, and
+stdout must be empty.  Cases run in a working directory that holds ``FILES``.
 
 ``tests/test_cli.py`` runs each case in-process through ``hexwalk.cli.main``.
 Run as a script, this module runs each case through the ``hexwalk`` console
@@ -38,6 +39,7 @@ class Case:
     argv: tuple[str, ...]
     code: int
     golden: str | None
+    out: str | None = None  # the file, in the working directory, that --out names
 
 
 def _golden(name: str, *argv: str, code: int = 0, reads: str | None = None) -> Case:
@@ -100,8 +102,17 @@ CASES = (
     _rejected("compare-theta-cosine-one", "compare", "--theta", "6.283185307177",
               "--state", "0,1,0", "--t-max", "4", "--window", "3"),
     _rejected("option-unknown", "limit", *GROVER_BETA, "-x"),
+    _rejected("out-directory-missing", "simulate", *GROVER_BETA, "--t-max", "2",
+              "--out", "missing/table.csv"),
     _rejected("config-nested-too-deeply", "limit", "--theta", "1", "--state", "0,1,0",
               "--config", "deep.json"),
+)
+# --out writes to its file the bytes a table sends to stdout without it
+CASES += tuple(
+    Case(f"{case.name}_out", (*case.argv, "--out", f"{case.name}.out"), case.code, case.golden,
+         out=f"{case.name}.out")
+    for case in CASES
+    if case.name in ("simulate_csv", "simulate_json_indices", "return_series_csv")
 )
 
 
@@ -110,9 +121,17 @@ def _read(path: Path) -> str:
         return fh.read()
 
 
-def check(case: Case, out: str, err: str, code: int) -> list[str]:
-    """What ``case`` got wrong, given the stdout, stderr and exit code of its run."""
+def check(case: Case, out: str, err: str, code: int, directory: Path) -> list[str]:
+    """What ``case`` got wrong, given the stdout, stderr and exit code of its run
+    in ``directory``."""
     problems = [] if code == case.code else [f"exit {code}, expected {case.code}"]
+    if case.out is not None:
+        if out:
+            problems.append("stdout is not empty")
+        path = directory / case.out
+        if not path.is_file():
+            return [*problems, f"no file {case.out}"]
+        out = _read(path)
     if case.golden is None:
         if out:
             problems.append("stdout is not empty")
@@ -142,7 +161,7 @@ def main() -> int:
         for case in CASES:
             proc = subprocess.run([hexwalk, *case.argv], cwd=work, capture_output=True)
             out, err = (text.decode("utf-8", "replace") for text in (proc.stdout, proc.stderr))
-            problems = check(case, out, err, proc.returncode)
+            problems = check(case, out, err, proc.returncode, Path(work))
             if problems:
                 failed += 1
                 print(f"FAIL {case.name}: {'; '.join(problems)}")

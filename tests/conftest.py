@@ -30,16 +30,21 @@ def random_state(rng: np.random.Generator) -> CoinState:
     return CoinState(v[0], v[1], v[2])
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the package under test."""
+    src = str(Path(hexwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports the package under test.
 
     A fresh process, since this one may already hold modules (scipy, say)
     that the code must not import.
     """
-    src = str(Path(hexwalk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                          text=True)
 
 
 @pytest.fixture(scope="session")

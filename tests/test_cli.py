@@ -16,8 +16,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +30,8 @@ from hypothesis import strategies as st
 import cli_cases
 import hexwalk
 from cli_cases import CASES, FILES, GOLDEN, GROVER_BETA, check, write_files
-from conftest import run_fresh
-from hexwalk.cli import _JSON_BLOCK_ROWS, _json_table, main
+from conftest import fresh_env, run_fresh
+from hexwalk.cli import _BLOCK_ROWS, _write_table, main
 
 _CASE = {case.name: case for case in CASES}
 
@@ -45,18 +48,19 @@ def case_directory(tmp_path, monkeypatch):
     # the working directory the console-script runner gives every case
     write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 @pytest.mark.parametrize("case", [case for case in CASES if case.golden is not None],
                          ids=lambda case: case.name)
 def test_cli_output_matches_golden(case_directory, case):
-    assert check(case, *run_cli(case.argv)) == []
+    assert check(case, *run_cli(case.argv), case_directory) == []
 
 
 @pytest.mark.parametrize("case", [case for case in CASES if case.golden is None],
                          ids=lambda case: case.name)
 def test_invalid_command_lines_rejected(case_directory, case):
-    assert check(case, *run_cli(case.argv)) == []
+    assert check(case, *run_cli(case.argv), case_directory) == []
 
 
 def test_each_golden_file_belongs_to_one_case():
@@ -140,6 +144,74 @@ def test_out_of_memory_exits_1_with_one_line(monkeypatch, name, argv, raiser, de
     out, err, code = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: out of memory" + detail) and err.count("\n") == 1
+
+
+def _golden_stdout(name):
+    return (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    # the writer fails after its first block: the target keeps its old bytes, or stays absent
+    target = tmp_path / "table.csv"
+    if existing:
+        target.write_bytes(b"old\n")
+    emit, calls = hexwalk.cli._emit, []
+
+    def failing(text, fh):
+        calls.append(len(text))
+        if len(calls) == 2:
+            raise MemoryError
+        emit(text, fh)
+
+    monkeypatch.setattr(hexwalk.cli, "_emit", failing)
+    argv = ["simulate", *GROVER_BETA, "--t-max", "80", "--out", str(target)]  # two blocks of rows
+    assert run_cli(argv) == ("", "error: out of memory\n", 1)
+    assert len(calls) == 2
+    assert [path.name for path in tmp_path.iterdir()] == (["table.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old\n"
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    # the link stays a link, and its target gets the bytes and keeps its permissions
+    target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli([*_CASE["simulate_csv"].argv, "--out", str(link)]) == ("", "", 0)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _golden_stdout("simulate_csv")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "table.csv"]
+
+
+def test_out_writes_a_fifo_in_place(tmp_path):
+    # a path that is no regular file is written as it is, never replaced
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result = run_cli([*_CASE["simulate_csv"].argv, "--out", str(fifo)])
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert result == ("", "", 0)
+    assert received == [_golden_stdout("simulate_csv")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_output_quietly():
+    # t_max 120 writes far more than a 64 kB pipe holds, so a write meets the closed pipe
+    argv = [sys.executable, "-m", "hexwalk.cli", "simulate", *GROVER_BETA, "--t-max", "120"]
+    with subprocess.Popen(argv, env=fresh_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"px,py,prob\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 @pytest.mark.parametrize("command, override", [
@@ -229,36 +301,68 @@ def test_unread_config_keys_ignored(tmp_path):
     assert run_cli(["limit", "--config", str(shared)]) == expected
 
 
-_CELLS = {
-    "tag": st.text(),
-    "int": st.integers(-(2**80), 2**80),
-    "float": st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 5e-324, 1e300]),
-}
+_COORDINATES = st.integers(-(2**59), 2**59)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300])
+# The columns the table writer takes: constants, as the sublattice tag and the
+# limit are, and per-row cells, as the times, coordinates and probabilities are.
+_CONSTANTS = {"tag": st.text(), "limit": _FLOATS}
+_CELLS = {"t": _COORDINATES, "x": _COORDINATES, "px": _COORDINATES, "prob": _FLOATS}
+
+
+def _column(kind, cells):
+    """The writer's column of ``kind`` from ``cells``, and its value in each row (``None``
+    for a constant)."""
+    if kind in _CONSTANTS:
+        return cells, None
+    array = np.array(cells, dtype=np.float64 if kind == "prob" else np.int64)
+    if kind in ("t", "prob"):
+        return array, cells
+    values, index = np.unique(array, return_inverse=True)  # as simulate builds coordinates
+    if kind == "px":
+        return (1.5 * values, index), [1.5 * c for c in cells]
+    return (values, index), cells
 
 
 @st.composite
 def _tables(draw):
-    kinds = ["tag", *draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=4))]
-    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=12))
-    return [f"{kind}{i}" for i, kind in enumerate(kinds)], rows
+    kinds = [*draw(st.lists(st.sampled_from([*_CONSTANTS, *_CELLS]), max_size=4)), "prob"]
+    n = draw(st.integers(0, 12))
+    return kinds, [draw(_CONSTANTS[kind]) if kind in _CONSTANTS
+                   else draw(st.lists(_CELLS[kind], min_size=n, max_size=n)) for kind in kinds]
+
+
+_TWO_BLOCKS_AND_ONE = list(range(-_BLOCK_ROWS, _BLOCK_ROWS + 1))
 
 
 @given(
-    header=st.fixed_dictionaries(
-        {"command": st.text(), "theta": _CELLS["float"], "t": _CELLS["int"]}
-    ),
+    header=st.fixed_dictionaries({"command": st.text(), "theta": _FLOATS, "t": _COORDINATES}),
     table=_tables(),
 )
-@example(header={"command": "simulate", "theta": 1.0, "t": 0}, table=(["sub", "x"], []))
+@example(header={"command": "simulate", "theta": 1.0, "t": 0},
+         table=(["tag", "x", "x", "prob"], ["A", [], [], []]))
 @example(header={"command": "simulate", "theta": -0.0, "t": -7},
-         table=(["sub", "x", "p"], [("A", -(2**70), 5e-324), ("B", 2**70, 1e300)]))
-@example(header={"command": "simulate", "theta": 1.0, "t": 1},  # rows over three blocks
-         table=(["sub", "x", "p"], [("B", i, i / 7) for i in range(2 * _JSON_BLOCK_ROWS + 1)]))
-def test_json_table_matches_the_indenting_encoder(header, table):
-    columns, rows = table
-    expected = json.dumps({**header, "columns": columns, "rows": rows}, indent=2) + "\n"
-    assert _json_table(header, columns, rows) == expected
+         table=(["tag", "limit", "t", "x", "px", "prob"],
+                ["{B}", 5e-324, [2**59], [-(2**59)], [2**59 - 1], [-0.0]]))
+@example(header={"command": "simulate", "theta": 1.0, "t": 1},
+         table=(["tag", "x", "px", "prob"],
+                ["B", _TWO_BLOCKS_AND_ONE, _TWO_BLOCKS_AND_ONE[::-1],
+                 [i / 7 for i in _TWO_BLOCKS_AND_ONE[:-2]] + [1e300, 5e-324]]))
+def test_table_writer_matches_the_reference_formats(header, table):
+    # JSON as the indenting encoder writes it, CSV as one str.format line per row
+    kinds, values = table
+    columns, cells = zip(*(_column(kind, v) for kind, v in zip(kinds, values)))
+    labels = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+    rows = [[v if c is None else c[r] for v, c in zip(values, cells)]
+            for r in range(len(values[-1]))]
+    expected_json = json.dumps({**header, "columns": labels, "rows": rows}, indent=2) + "\n"
+    row_format = ",".join("{:.12e}" if kind in ("limit", "px", "prob") else "{}" for kind in kinds)
+    expected_csv = "\n".join([",".join(labels), *(row_format.format(*r) for r in rows)]) + "\n"
+    for fmt, expected in (("json", expected_json), ("csv", expected_csv)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_table(SimpleNamespace(fmt=fmt, output_path=None), header,
+                         dict(zip(labels, columns)))
+        assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("argv", [
