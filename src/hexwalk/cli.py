@@ -73,6 +73,7 @@ class RunConfig:
     indices: bool
 
 
+_DEFAULTS = {"t_max": 100, "tolerance": 0.01, "window": 10}  # --help quotes these
 # Output formats each command accepts; the first is its default.
 _FORMATS = {
     "simulate": ("csv", "json"),
@@ -114,12 +115,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must contain a JSON object")
 
-    def setting(name: str, default: object = None, key: str | None = None) -> object:
-        """The flag ``name``, else the config key ``key or name``, else ``default``."""
+    def setting(name: str, default: object = None) -> object:
+        """The flag ``name``, else the config key ``name``, else ``default``."""
         if name not in vars(args):  # unread by this command, whatever a shared config holds
             return default
         value = getattr(args, name)
-        return value if value is not None else raw.get(key or name, default)
+        return value if value is not None else raw.get(name, default)
 
     # One angle setting: --theta or --preset on the command line hides both config keys.
     level = vars(args) if args.theta is not None or args.preset is not None else raw
@@ -144,13 +145,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--state components must be real numbers: {exc}") from exc
         alpha, beta, gamma = (complex(_number(r, "--state component")) for r in reals)
     elif {"alpha", "beta", "gamma"} <= raw.keys():
-        alpha = _parse_complex(raw["alpha"], "alpha")
-        beta = _parse_complex(raw["beta"], "beta")
-        gamma = _parse_complex(raw["gamma"], "gamma")
+        alpha, beta, gamma = (_parse_complex(raw[key], key) for key in ("alpha", "beta", "gamma"))
     else:
         raise ValueError("initial state missing: pass --state a,b,c or a config file")
 
-    t_max = _number(setting("t_max", 100), "t_max")
+    t_max = _number(setting("t_max", _DEFAULTS["t_max"]), "t_max")
     if int(t_max) != t_max or int(t_max) < 0:
         raise ValueError(f"t_max must be a non-negative integer, got {t_max!r}")
 
@@ -158,10 +157,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     fmt = setting("format", formats[0])
     if fmt not in formats:
         raise ValueError(f"unsupported format {fmt!r} for {args.command}")
-    tolerance = setting("tolerance", 0.01)
+    tolerance = setting("tolerance", _DEFAULTS["tolerance"])
     if _number(tolerance, "tolerance") <= 0:
         raise ValueError("tolerance must be positive")
-    window = _number(setting("window", 10), "window")
+    window = _number(setting("window", _DEFAULTS["window"]), "window")
     if int(window) != window or int(window) < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
     if args.command == "compare" and window > t_max // 2 + 1:
@@ -170,7 +169,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     indices = setting("indices", False)
     if not isinstance(indices, bool):
         raise ValueError(f"indices must be true or false, got {indices!r}")
-    out = setting("out", key="output_path")
+    out = setting("output_path")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"output_path must be a string, got {out!r}")
 
@@ -466,28 +465,27 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "finite-time run vs the limit laws"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--theta", type=float, default=None, help="coin angle in radians")
-        p.add_argument("--preset", default=None, help="named coin preset (grover: c = -1/3)")
-        p.add_argument(
-            "--state", default=None, metavar="A,B,C",
-            help="real initial coin amplitudes, comma separated",
-        )
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=None, help="output format: "
+        p.add_argument("--theta", type=float, help="coin angle in radians")
+        p.add_argument("--preset", help="named coin preset (grover: c = -1/3)")
+        p.add_argument("--state", metavar="A,B,C",
+                       help="real initial coin amplitudes, comma separated")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output path (default stdout)")
+        p.add_argument("--format", help="output format: "
                        f"{' or '.join(_FORMATS[name])} (default {_FORMATS[name][0]})")
         # Only the flags this command reads, so that any other one is an error.
         if name != "limit":
-            p.add_argument("--t-max", dest="t_max", type=int, default=None,
-                           help="number of walk steps (default 100)")
+            p.add_argument("--t-max", dest="t_max", type=int,
+                           help=f"number of walk steps (default {_DEFAULTS['t_max']})")
         if name == "simulate":
             p.add_argument("--indices", action="store_true", default=None,
                            help="export integer site indices instead of coordinates")
         if name == "compare":
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="comparison tolerance (default 0.01)")
-            p.add_argument("--window", type=int, default=None,
-                           help="even-step averaging window (default 10)")
+            p.add_argument("--tolerance", type=float,
+                           help=f"comparison tolerance (default {_DEFAULTS['tolerance']})")
+            p.add_argument("--window", type=int,
+                           help=f"even-step averaging window (default {_DEFAULTS['window']})")
     return parser
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,10 +216,10 @@ def g_difference(x: int, y: int, x1: int, y1: int, params: CoinParams) -> float:
     shift must satisfy ``(x1 + y1) % 2 == 0``: for odd shifts the endpoint
     poles have unequal residues and the integral itself diverges (no such
     shift arises in the amplitude formulas).  A zero shift gives exactly 0.0.
-    Raises :class:`QuadratureError` if the two rules do not agree within the
-    node budget.
+    Raises TypeError for a non-integer site or shift, and
+    :class:`QuadratureError` if the two rules do not agree within the node budget.
     """
-    x, y, x1, y1 = int(x), int(y), int(x1), int(y1)
+    x, y, x1, y1 = map(operator.index, (x, y, x1, y1))
     if (x1 + y1) % 2 != 0:
         raise ValueError(
             "g_difference requires an even shift (x1 + y1 even); "
@@ -241,8 +242,9 @@ def asymptotic_amplitude(
     flat-band projection that the walk settles onto, which simulations
     approach with a decaying oscillation.
 
-    Quadrature failures propagate as :class:`QuadratureError`.
+    A non-integer site raises TypeError; quadrature failures propagate as :class:`QuadratureError`.
     """
+    x, y = operator.index(x), operator.index(y)
     c, s = params.c, params.s
     al, be, ga = state.alpha, state.beta, state.gamma
     w_ag = -s * al + s * ga

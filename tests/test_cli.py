@@ -1,11 +1,12 @@
 """Tests of the command-line interface: golden output and input validation.
 
-Each case of ``tests/cli_cases.py`` runs ``hexwalk.cli.main`` in-process:
-a golden case must match its stdout, stderr and exit code under
-``tests/golden/`` byte for byte, since the CLI promises byte-identical
-output for identical configurations, and a rejected case must exit 1 with
-one ``error: `` line.  After an intended change, regenerate the golden files
-of the cases that own one with ``PYTHONPATH=src python tests/test_cli.py``
+Each promise of ``tests/cli_cases.py`` runs in-process, through
+``hexwalk.cli.main``, as the test named after it: a golden row must match
+its stdout under ``tests/golden/`` byte for byte, since the CLI promises
+byte-identical output for identical configurations, with an empty stderr;
+a rejected row must exit 1 with its ``error: `` line.  The config files the
+rows read are the table's ``FILES``.  After an intended change, regenerate
+the golden stdout files with ``PYTHONPATH=src python tests/test_cli.py``
 and review the diff.
 """
 
@@ -19,7 +20,9 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,11 +32,11 @@ from hypothesis import strategies as st
 
 import cli_cases
 import hexwalk
-from cli_cases import CASES, FILES, GOLDEN, GROVER_BETA, check, write_files
+from cli_cases import CASES, GOLDEN, GROVER_BETA, PROMISES, check, write_files
 from conftest import fresh_env, run_fresh
 from hexwalk.cli import _BLOCK_ROWS, _write_table, main
 
-_CASE = {case.name: case for case in CASES}
+_CASE = {case.name: case for case in PROMISES["cli_output_matches_golden"]}
 
 
 def run_cli(argv: list[str] | tuple[str, ...]) -> tuple[str, str, int]:
@@ -45,32 +48,73 @@ def run_cli(argv: list[str] | tuple[str, ...]) -> tuple[str, str, int]:
 
 @pytest.fixture
 def case_directory(tmp_path, monkeypatch):
-    # the working directory the console-script runner gives every case
+    # the working directory the console-script runner gives every row
     write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
-@pytest.mark.parametrize("case", [case for case in CASES if case.golden is not None],
-                         ids=lambda case: case.name)
+def _runs_its_promise(test):
+    """Parametrize ``test`` over the rows of the promise it is named after."""
+    rows = PROMISES[test.__name__.removeprefix("test_")]
+    return pytest.mark.parametrize("case", rows, ids=[case.name for case in rows])(test)
+
+
+def _run(case, directory):
+    assert check(case, *run_cli(case.argv), directory) == []
+
+
+@_runs_its_promise
 def test_cli_output_matches_golden(case_directory, case):
-    assert check(case, *run_cli(case.argv), case_directory) == []
+    _run(case, case_directory)
 
 
-@pytest.mark.parametrize("case", [case for case in CASES if case.golden is None],
-                         ids=lambda case: case.name)
+@_runs_its_promise
 def test_invalid_command_lines_rejected(case_directory, case):
-    assert check(case, *run_cli(case.argv), case_directory) == []
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_badly_typed_config_values_rejected(case_directory, case):
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_deeply_nested_config_rejected(case_directory, case):
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_compare_window_error_names_largest_window(case_directory, case):
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_angle_flag_beats_either_config_key(case_directory, case):
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_unread_config_keys_ignored(case_directory, case):
+    _run(case, case_directory)
+
+
+@_runs_its_promise
+def test_negative_values_parse_as_in_the_equals_form(case_directory, case):
+    _run(case, case_directory)
+
+
+def test_each_promise_runs_in_tier_1():
+    # a promise with no test of its name would run only through the console script
+    assert {f"test_{promise}" for promise in PROMISES} <= set(globals())
+    for rows in PROMISES.values():
+        assert len({case.name for case in rows}) == len(rows)
 
 
 def test_each_golden_file_belongs_to_one_case():
-    # an alias reads another case's pair; complex_state.json is an input
-    assert len(_CASE) == len(CASES)
-    owners = [case.name for case in CASES if case.golden == case.name]
-    owned = {f"{name}.{stream}" for name in owners for stream in ("stdout", "stderr")}
+    # the first row that reads a golden file writes it; complex_state.json is an input
     files = {path.name for path in GOLDEN.iterdir()} - {"complex_state.json"}
-    assert owned == files
-    assert {case.golden for case in CASES} - {None} == set(owners)
+    assert files == {f"{case.golden}.stdout" for case in CASES if case.golden is not None}
 
 
 def test_runner_refuses_to_run_without_the_console_script(tmp_path):
@@ -80,22 +124,6 @@ def test_runner_refuses_to_run_without_the_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert proc.stderr == "error: no 'hexwalk' console script on PATH\n"
-
-
-_BASE_CONFIG = {"theta": 1.0, "alpha": 0.0, "beta": 1.0, "gamma": 0.0, "t_max": 4}
-
-
-@pytest.mark.parametrize("flags", [
-    ["--theta", "1", "--state", "-0.6,0,0.8"],
-    ["--theta", "-1e-3", "--state", "0,1,0"],
-    ["--theta", "-.5", "--state", "0,1,0"],
-], ids=["state-negative-first", "theta-negative-exponent", "theta-negative-leading-dot"])
-def test_negative_values_parse_as_in_the_equals_form(flags):
-    # argparse's own pattern takes only plain numbers such as -1 or -0.5 for values
-    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
-    spaced, equals = run_cli(["limit", *flags]), run_cli(["limit", *joined])
-    assert spaced == equals
-    assert spaced[1:] == ("", 0)
 
 
 def test_each_wave_function_is_checked_once(monkeypatch):
@@ -214,56 +242,6 @@ def test_a_reader_that_closes_stdout_early_ends_the_output_quietly():
     assert (code, err) == (0, b"")
 
 
-@pytest.mark.parametrize("command, override", [
-    ("compare", {"tolerance": "0.1", "window": 3}),
-    ("simulate", {"theta": [1.0]}),
-    ("simulate", {"t_max": float("inf")}),
-    ("simulate", {"t_max": True}),
-    ("simulate", {"indices": "no"}),
-    ("simulate", {"alpha": [float("nan"), 0.0]}),
-    ("simulate", {"alpha": [1e200, 0.0]}),
-    ("simulate", {"alpha": [1.5e308, 1.5e308]}),
-    ("simulate", {"alpha": True, "beta": 0.0}),
-    ("simulate", {"output_path": 1}),
-    ("compare", {"window": 4}),
-    ("simulate", {"preset": "grover"}),
-], ids=["tolerance-string", "theta-list", "t_max-infinity", "t_max-bool",
-        "indices-string", "alpha-nan", "alpha-overflow", "alpha-overflow-complex",
-        "alpha-bool", "output_path-int", "window-past-t_max", "theta-and-preset"])
-def test_badly_typed_config_values_rejected(tmp_path, command, override):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**_BASE_CONFIG, **override}), encoding="utf-8")
-    out, err, code = run_cli([command, "--config", str(config)])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("text", [
-    FILES["deep.json"],
-    '{"theta": 1.0, "alpha": ' + "[" * 200000 + "]" * 200000 + ', "beta": 1, "gamma": 0}',
-], ids=["top-level", "in-a-key"])
-def test_deeply_nested_config_rejected(tmp_path, monkeypatch, text):
-    (tmp_path / "deep.json").write_text(text, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    out, err, code = run_cli(_CASE["config-nested-too-deeply"].argv)
-    assert (code, out) == (1, "")
-    assert err == "error: config file is nested too deeply\n"
-
-
-@pytest.mark.parametrize("argv, config", [
-    (_CASE["window-past-t_max"].argv, None),
-    (["compare"], {**_BASE_CONFIG, "window": 4}),
-], ids=["flag", "config"])
-def test_compare_window_error_names_largest_window(tmp_path, argv, config):
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        argv = [*argv, "--config", str(path)]
-    out, err, code = run_cli(argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: window must be at most 3,") and err.count("\n") == 1
-
-
 def test_compare_window_may_span_every_even_time():
     # t_max 4 has the three even times 0, 2 and 4: window 3 averages them all
     out, err, code = run_cli(
@@ -275,30 +253,6 @@ def test_compare_window_may_span_every_even_time():
     report = json.loads(out)
     assert report["window"] == 3
     assert report["p_origin_mean"] == pytest.approx(sum(p for _, p in series) / 3, abs=1e-15)
-
-
-@pytest.mark.parametrize("flags, config_key, theta", [
-    (["--theta", "1.0"], {"preset": "grover"}, 1.0),
-    (["--preset", "grover"], {"theta": 1.0}, hexwalk.GROVER_THETA),
-], ids=["theta-flag-over-config-preset", "preset-flag-over-config-theta"])
-def test_angle_flag_beats_either_config_key(tmp_path, flags, config_key, theta):
-    # --theta and --preset are one setting: a flag hides both config keys
-    config = tmp_path / "config.json"
-    state = {"alpha": [0, 0], "beta": [1, 0], "gamma": [0, 0]}
-    config.write_text(json.dumps({**config_key, **state}), encoding="utf-8")
-    out, err, code = run_cli(["limit", "--config", str(config), *flags, "--format", "json"])
-    assert (err, code) == ("", 0)
-    assert json.loads(out)["theta"] == theta
-
-
-def test_unread_config_keys_ignored(tmp_path):
-    # config files are shared between commands: limit reads neither key
-    plain, shared = tmp_path / "plain.json", tmp_path / "shared.json"
-    plain.write_text(json.dumps(_BASE_CONFIG), encoding="utf-8")
-    shared.write_text(json.dumps({**_BASE_CONFIG, "t_max": -1, "window": 0}), encoding="utf-8")
-    expected = run_cli(["limit", "--config", str(plain)])
-    assert expected[2] == 0
-    assert run_cli(["limit", "--config", str(shared)]) == expected
 
 
 _COORDINATES = st.integers(-(2**59), 2**59)
@@ -386,11 +340,15 @@ def test_no_subcommand_imports_scipy(argv):
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        if case.golden != case.name:
-            continue
-        out, err, code = run_cli(case.argv)
-        for suffix, text in (("stdout", out), ("stderr", err)):
-            with open(GOLDEN / f"{case.name}.{suffix}", "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        print(f"{case.name}: exit {code}")
+    written = set()
+    with tempfile.TemporaryDirectory() as work:
+        write_files(Path(work))
+        os.chdir(work)
+        for case in CASES:
+            if case.golden is None or case.golden in written or case.out is not None:
+                continue
+            written.add(case.golden)
+            out, err, code = run_cli(case.argv)
+            with open(GOLDEN / f"{case.golden}.stdout", "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
+            print(f"{case.golden}: exit {code}{'' if not err else ', stderr ' + repr(err)}")

@@ -9,10 +9,12 @@ from hexwalk import (
     CoinState,
     Momentum,
     Site,
+    asymptotic_amplitude,
     build_coin,
     eigenphases_closed_form,
     evolve,
     fourier_evolve,
+    g_difference,
     inverse_transform_site,
     two_step_operator,
 )
@@ -278,19 +280,29 @@ class TestInverseTransform:
         )
 
 
-@pytest.mark.parametrize("call", [
-    lambda coin: fourier_evolve(CoinState.uniform(), 2.5, Momentum(1, 1), coin),
-    lambda coin: fourier_evolve(CoinState.uniform(), 2.0, Momentum(1, 1), coin),
-    lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 2.5, coin),
-    lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 16.0, coin),
-    lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0.5, 0, 16, coin),
-    lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0, 0.5, 16, coin),
-    lambda coin: inverse_transform_site(CoinState.uniform(), 1, math.nan, 0, 16, coin),
-], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan"])
-def test_float_counts_rejected(grover_coin, call):
-    # as in evolve: a count is an integer, and U2^2.5 or a 2.5-point grid is not
-    # defined; nor is a site at x = 0.5, which is no lattice site
-    with pytest.raises(TypeError):
+@pytest.mark.parametrize("call, error", [
+    (lambda coin: fourier_evolve(CoinState.uniform(), 2.5, Momentum(1, 1), coin), TypeError),
+    (lambda coin: fourier_evolve(CoinState.uniform(), 2.0, Momentum(1, 1), coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 2.5, coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 16.0, coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0.5, 0, 16, coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0, 0.5, 16, coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 1, math.nan, 0, 16, coin),
+     TypeError),
+    (lambda coin: g_difference(0.5, 0, 1, 1, CoinParams.grover()), TypeError),
+    (lambda coin: g_difference(0, 0, 1.9, 1, CoinParams.grover()), TypeError),
+    (lambda coin: asymptotic_amplitude(0.5, 0, CoinParams.grover(), CoinState.uniform()),
+     TypeError),
+    (lambda coin: evolve(CoinState.uniform(), -1, coin), ValueError),
+    (lambda coin: fourier_evolve(CoinState.uniform(), -1, Momentum(1, 1), coin), ValueError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), -1, 0, 0, 8, coin), ValueError),
+], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan",
+        "g_difference-x=0.5", "g_difference-x1=1.9", "asymptotic_amplitude-x=0.5",
+        "evolve-t=-1", "fourier_evolve-t=-1", "inverse_transform_site-t=-1"])
+def test_float_counts_rejected(grover_coin, call, error):
+    # as in evolve: a count is a non-negative integer, and U2^2.5, U2^-1 or a 2.5-point
+    # grid is not defined; nor is a site at x = 0.5, which is no lattice site
+    with pytest.raises(error, match="as an integer|must be non-negative"):
         call(grover_coin)
 
 
