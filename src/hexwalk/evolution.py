@@ -33,6 +33,7 @@ same bit for bit as that of a full evolution.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ from .lattice import HOPS, Site, Sublattice, _hop_distance
 __all__ = [
     "WaveFunction",
     "Distribution",
-    "initial_wavefunction",
     "step",
     "evolve",
     "distribution",
@@ -118,13 +118,6 @@ class Distribution:
     xy: np.ndarray
     values: np.ndarray
     t: int
-
-
-def initial_wavefunction(state: CoinState) -> WaveFunction:
-    """Place the walker at A(0, 0) with the given coin amplitudes."""
-    xy = np.zeros((1, 2), dtype=np.int64)
-    values = state.as_array().reshape(1, 3)
-    return WaveFunction("A", xy, values, 0)
 
 
 def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
@@ -209,10 +202,10 @@ def _run_merge(x0, lo, hi, hops, mixed):
 
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
-    """Run ``t`` steps from the origin with the given initial coin state."""
+    """Run ``t`` steps from A(0, 0) with coin state ``state``; ``t = 0`` is the walk's start."""
     if t < 0:
         raise ValueError("step count must be non-negative")
-    wf = initial_wavefunction(state)
+    wf = WaveFunction("A", np.zeros((1, 2), dtype=np.int64), state.as_array().reshape(1, 3), 0)
     for _ in range(t):
         wf = step(wf, coin)
     return wf
@@ -241,11 +234,12 @@ def origin_amplitudes(
     can never reach the origin again, and every kept amplitude is computed
     exactly as in :func:`evolve`, so the stream is bit for bit the same.
     """
+    t_max = operator.index(t_max)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     last = t_max - t_max % 2
     origin = Site.a(0, 0)
-    wf = initial_wavefunction(state)
+    wf = evolve(state, 0, coin)
     yield 0, wf.amplitude(origin)
     for t in range(2, last + 1, 2):
         # Two statements, not step(step(...)), so at most two states are alive.

@@ -43,7 +43,6 @@ __all__ = [
     "a_theta",
     "limit_return_probability",
     "asymptotic_origin_amplitude",
-    "g_difference",
     "asymptotic_amplitude",
     "delocalization_condition",
     "delta_weight",
@@ -173,6 +172,8 @@ def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
     (z in the rationalized form that stays stable where cos(b) vanishes).
     Its 1/b endpoint poles cancel once the anchor's numerator, 1 for even
     |x| + |y| and z for odd, is subtracted before the division by pi root.
+    For odd shifts the two sites' poles do not cancel and G itself diverges
+    (no such shift arises in the amplitude formulas); a zero shift gives 0.0.
     One table of the distinct sites (|x|, |y|), found through one integer
     key |x| span + |y| per site, is evaluated on n and 2n nodes, n doubling
     from a start that grows with the largest |y| (as cos(b |y|) oscillates),
@@ -205,29 +206,6 @@ def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
             return fine
         coarse, n = fine, 2 * n
     raise QuadratureError(f"G differences did not converge within {_MAX_NODES} nodes")
-
-
-def g_difference(x: int, y: int, x1: int, y1: int, params: CoinParams) -> float:
-    """The convergent Green-integral difference G(x, y, x1, y1).
-
-    The anchored-table difference h(x, y) - h(x - x1, y - y1) (see the
-    module docstring), certified by n against 2n Gauss-Legendre nodes to a
-    relative tolerance of 1e-10 or an absolute tolerance of 1e-12.  The
-    shift must satisfy ``(x1 + y1) % 2 == 0``: for odd shifts the endpoint
-    poles have unequal residues and the integral itself diverges (no such
-    shift arises in the amplitude formulas).  A zero shift gives exactly 0.0.
-    Raises TypeError for a non-integer site or shift, and
-    :class:`QuadratureError` if the two rules do not agree within the node budget.
-    """
-    x, y, x1, y1 = map(operator.index, (x, y, x1, y1))
-    if (x1 + y1) % 2 != 0:
-        raise ValueError(
-            "g_difference requires an even shift (x1 + y1 even); "
-            "odd shifts make the difference integral divergent"
-        )
-    if x1 == 0 and y1 == 0:
-        return 0.0
-    return float(_differences(np.array([[x, y, x1, y1]]), params)[0])
 
 
 def asymptotic_amplitude(

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here shares code with the library's computational paths.  The
-stepper is a plain dict scatter through :func:`shift_target`, which reads
-only the library's hop table ``hexwalk.lattice.HOPS``; graph distances come
+steppers are plain dict scatters along the library's hop table
+``hexwalk.lattice.HOPS``, one in floating point through :func:`shift_target`
+and one, for the rational coins, in exact integers; graph distances come
 from BFS; the Green-integral oracles are a regularized two-dimensional
 Riemann sum and adaptive quadrature (scipy's ``quad`` and mpmath's
 tanh-sinh) of the pointwise difference of two reduced integrands (the
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -71,6 +74,46 @@ def reference_evolve(state_triple, t: int, coin: np.ndarray) -> dict:
     for _ in range(t):
         amps = reference_step(amps, coin)
     return amps
+
+
+def rational_cosine(m) -> Fraction:
+    """The exact c = (1 - 2 m^2) / (1 + 2 m^2) of the rational coin of slope ``m``."""
+    m = Fraction(m)
+    return (1 - 2 * m * m) / (1 + 2 * m * m)
+
+
+def exact_walk(m, state, t_max: int) -> Iterator[tuple[int, dict]]:
+    """Yield ``(scale, amps)`` for t = 0 .. ``t_max``: the walk in exact integers.
+
+    For a rational slope m = p/q the coin with c = (q^2 - 2p^2)/D and
+    s/sqrt(2) = 2pq/D, D = q^2 + 2p^2, is the integer matrix
+
+        D C = [[-q^2, 2pq, 2p^2], [2pq, q^2 - 2p^2, 2pq], [2p^2, 2pq, -q^2]]
+
+    over D (m = 1 is the Grover coin).  ``state`` is a triple of rationals;
+    with L the common denominator of its entries, psi_t = amps / (L D^t),
+    where ``amps`` maps each (x, y) of the t-step walk, on sublattice A at
+    even t and B at odd t, to three Python ints.  A per-site dict scatter
+    along ``HOPS``, with no rounding.
+    """
+    m = Fraction(m)
+    p, q = m.numerator, m.denominator
+    d = q * q + 2 * p * p
+    coin = ((-q * q, 2 * p * q, 2 * p * p),
+            (2 * p * q, q * q - 2 * p * p, 2 * p * q),
+            (2 * p * p, 2 * p * q, -q * q))
+    state = [Fraction(v) for v in state]
+    scale = math.lcm(*(v.denominator for v in state))
+    amps = {(0, 0): [int(v * scale) for v in state]}
+    yield scale, amps
+    for t in range(t_max):
+        out: dict = {}
+        for (x, y), v in amps.items():
+            for j, (row, (dx, dy)) in enumerate(zip(coin, HOPS["AB"[t % 2]])):
+                acc = out.setdefault((x + dx, y + dy), [0, 0, 0])
+                acc[j] += row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
+        amps, scale = out, scale * d
+        yield scale, amps
 
 
 def graph_distances(max_dist: int) -> dict:

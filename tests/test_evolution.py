@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hexwalk import (
     build_coin,
     distribution,
     evolve,
-    initial_wavefunction,
     origin_amplitudes,
     return_series,
     step,
@@ -22,7 +22,9 @@ from hexwalk import (
 
 from conftest import random_state, random_theta, rows
 from oracles import (
+    exact_walk,
     graph_distances,
+    rational_cosine,
     reference_evolve,
     reference_step,
     shift_target,
@@ -36,6 +38,23 @@ WALKS = [
     (CoinParams(1.0), CoinState(0.6, 0.0, 0.8)),
     (CoinParams(4.0), CoinState(0.48 + 0.6j, 0.64, 0.0)),
 ]
+
+# Rational coins, c = (1 - 2m^2)/(1 + 2m^2) with m = 1 the Grover coin, from
+# rational states: the exact oracle carries these walks in integers.
+EXACT_WALKS = {
+    "m=1": (1, (0, 1, 0)),
+    "m=1/2": (Fraction(1, 2), (Fraction(3, 5), 0, Fraction(4, 5))),
+    "m=2": (2, (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))),
+}
+EXACT_T = 40
+
+
+@pytest.fixture(scope="module", params=list(EXACT_WALKS))
+def exact(request):
+    """``(state, coin, [(scale, amps) for t = 0 .. EXACT_T])`` of one rational walk."""
+    m, state = EXACT_WALKS[request.param]
+    coin = build_coin(CoinParams(math.acos(rational_cosine(m))))
+    return CoinState(*map(float, state)), coin, list(exact_walk(m, state, EXACT_T))
 
 
 @st.composite
@@ -65,28 +84,28 @@ def column_states(draw):
 
 
 class TestInitialWaveFunction:
-    def test_basis_state(self):
-        wf = initial_wavefunction(CoinState(1, 0, 0))
+    def test_basis_state(self, grover_coin):
+        wf = evolve(CoinState(1, 0, 0), 0, grover_coin)
         assert wf.t == 0
         assert wf.sublattice == "A"
         assert len(wf) == 1
         np.testing.assert_allclose(wf.amplitude(Site.a(0, 0)), [1, 0, 0])
         assert abs(wf.norm_squared() - 1) < 1e-15
 
-    def test_uniform_state(self):
-        wf = initial_wavefunction(CoinState.uniform())
+    def test_uniform_state(self, grover_coin):
+        wf = evolve(CoinState.uniform(), 0, grover_coin)
         np.testing.assert_allclose(
             rows(wf)[Site.a(0, 0)], np.full(3, 1 / math.sqrt(3)), atol=1e-15
         )
 
-    def test_middle_state(self):
-        wf = initial_wavefunction(BETA_STATE)
+    def test_middle_state(self, grover_coin):
+        wf = evolve(BETA_STATE, 0, grover_coin)
         np.testing.assert_allclose(wf.amplitude(Site.a(0, 0)), [0, 1, 0])
 
 
 class TestStep:
     def test_one_step_hand_values(self, grover_coin):
-        wf = step(initial_wavefunction(BETA_STATE), grover_coin)
+        wf = step(evolve(BETA_STATE, 0, grover_coin), grover_coin)
         assert wf.t == 1
         assert wf.sublattice == "B"
         assert len(wf) == 3
@@ -125,7 +144,7 @@ class TestStep:
             params = CoinParams(random_theta(rng))
             coin = build_coin(params)
             state = random_state(rng)
-            wf = initial_wavefunction(state)
+            wf = evolve(state, 0, coin)
             for t in range(10):
                 if t:
                     wf = step(wf, coin)
@@ -239,7 +258,7 @@ class TestStep:
 
 class TestSupport:
     def test_single_sublattice_alternates(self, grover_coin):
-        wf = initial_wavefunction(CoinState.uniform())
+        wf = evolve(CoinState.uniform(), 0, grover_coin)
         for t in range(1, 12):
             wf = step(wf, grover_coin)
             assert wf.sublattice == ("A" if t % 2 == 0 else "B")
@@ -252,7 +271,7 @@ class TestSupport:
     def test_parity_predicate_holds_everywhere(self):
         rng = np.random.default_rng(23)
         coin = build_coin(CoinParams(random_theta(rng)))
-        wf = initial_wavefunction(random_state(rng))
+        wf = evolve(random_state(rng), 0, coin)
         for t in range(1, 40):
             wf = step(wf, coin)
             assert all(support_parity_ok(site, t) for site in rows(wf))
@@ -262,7 +281,7 @@ class TestSupport:
         rng = np.random.default_rng(29)
         coin = build_coin(CoinParams(random_theta(rng)))
         dist = graph_distances(8)
-        wf = initial_wavefunction(random_state(rng))
+        wf = evolve(random_state(rng), 0, coin)
         for t in range(1, 9):
             wf = step(wf, coin)
             distances = [dist[site] for site in rows(wf)]
@@ -273,15 +292,15 @@ class TestSupport:
         # the row count behind the size model for evolve's memory and time
         for params, state in WALKS:
             coin = build_coin(params)
-            wf = initial_wavefunction(state)
+            wf = evolve(state, 0, coin)
             for t in range(61):
                 assert len(wf) == (3 * t * t + 6 * t + 4) // 4, (params.theta, t)
                 wf = step(wf, coin)
 
 
 class TestDistribution:
-    def test_initial(self):
-        d = distribution(initial_wavefunction(CoinState(1, 0, 0)))
+    def test_initial(self, grover_coin):
+        d = distribution(evolve(CoinState(1, 0, 0), 0, grover_coin))
         assert rows(d) == {Site.a(0, 0): 1.0}
 
     def test_two_step_grover_origin(self, grover_coin):
@@ -397,3 +416,44 @@ class TestReturnSeries:
     def test_negative_t_rejected(self, grover_coin):
         with pytest.raises(ValueError):
             return_series(BETA_STATE, -1, grover_coin)
+
+
+class TestExactWalk:
+    # The bound is one 2**-52 per step, and t = 0 is exact: both sides round
+    # the same rationals.  Measured to T = 40, the amplitude error peaks at
+    # 0.75 t 2**-52 (m = 2; 0.5 for m = 1, 0.375 for m = 1/2) and the
+    # probability error at 0.19 t 2**-52; at T = 40 the amplitude errors are
+    # 1.1e-15, 4.2e-16 and 2.7e-16.  CoinParams(acos(c)) is exact for m = 1
+    # (the Grover angle) but rounds c by one ulp for m = 1/2 and 2; a walk with
+    # the correctly rounded coin D C / D is off by 5.6e-16, 4.7e-16 and
+    # 3.3e-16 at T = 40.  So the rounding of c adds nothing measurable, while
+    # build_coin's one-ulp entries at m = 1 double that walk's error.
+    ULP = 2.0**-52
+
+    def test_evolve_matches(self, exact):
+        # every step of the walk, and evolve to its end, which takes the same steps
+        state, coin, walk = exact
+        wf = evolve(state, 0, coin)
+        for t, (scale, amps) in enumerate(walk):
+            if t:
+                wf = step(wf, coin)
+            assert len(wf) == len(amps)
+            expected = [[a / scale for a in amps[x, y]] for x, y in wf.xy.tolist()]
+            assert np.abs(wf.values - expected).max() <= t * self.ULP, t
+        assert evolve(state, EXACT_T, coin).values.tobytes() == wf.values.tobytes()
+
+    def test_origin_amplitudes_match(self, exact):
+        state, coin, walk = exact
+        stream = list(origin_amplitudes(state, EXACT_T, coin))
+        assert [t for t, _ in stream] == list(range(0, EXACT_T + 1, 2))
+        for t, amp in stream:
+            scale, amps = walk[t]
+            expected = [a / scale for a in amps[0, 0]]
+            assert np.abs(amp - expected).max() <= t * self.ULP, t
+
+    def test_return_series_matches(self, exact):
+        state, coin, walk = exact
+        for t, p in return_series(state, EXACT_T, coin):
+            scale, amps = walk[t]
+            expected = sum(a * a for a in amps[0, 0]) / scale**2
+            assert abs(p - expected) <= t * self.ULP, t

@@ -17,8 +17,7 @@ from hexwalk import (
     build_coin,
     delocalization_condition,
     delta_weight,
-    g_difference,
-    initial_wavefunction,
+    evolve,
     limit_return_probability,
     step,
 )
@@ -43,6 +42,11 @@ def stratified_thetas(k: int, margin: float = 0.05) -> list[float]:
         pos = (i + 0.5) * 2.0 * half / k
         out.append(margin + pos if pos < half else math.pi + margin + pos - half)
     return out
+
+
+def g_table(x: int, y: int, x1: int, y1: int, params: CoinParams) -> float:
+    """G(x, y, x1, y1) as the one row of a library ``_differences`` table."""
+    return float(hexwalk.limits._differences(np.array([[x, y, x1, y1]]), params)[0])
 
 
 def delocalizing_state(params: CoinParams, phase: complex = 1.0) -> CoinState:
@@ -144,16 +148,12 @@ class TestOriginLimit:
 
 class TestGDifference:
     def test_zero_shift(self, grover_params):
-        assert g_difference(4, -2, 0, 0, grover_params) == 0.0
+        assert g_table(4, -2, 0, 0, grover_params) == 0.0
 
     def test_antisymmetry(self, grover_params):
-        lhs = g_difference(2, 1, 1, -1, grover_params)
-        rhs = -g_difference(1, 2, -1, 1, grover_params)
+        lhs = g_table(2, 1, 1, -1, grover_params)
+        rhs = -g_table(1, 2, -1, 1, grover_params)
         assert abs(lhs - rhs) < 1e-9
-
-    def test_odd_shift_rejected(self, grover_params):
-        with pytest.raises(ValueError):
-            g_difference(0, 0, 1, 0, grover_params)
 
     def test_closed_form_anchor_identities(self):
         # cross-referencing the origin limit against the Green-integral route
@@ -165,14 +165,14 @@ class TestGDifference:
             big_a = a_theta(params)
             expected_vertical = 4 * big_a / (math.pi * (1 - params.c) ** 2)
             expected_diagonal = (0.5 - big_a / math.pi) / params.s**2
-            assert abs(g_difference(0, 0, 0, 2, params) - expected_vertical) < 1e-9
-            assert abs(g_difference(0, 0, 1, 1, params) - expected_diagonal) < 1e-9
+            assert abs(g_table(0, 0, 0, 2, params) - expected_vertical) < 1e-9
+            assert abs(g_table(0, 0, 1, 1, params) - expected_diagonal) < 1e-9
 
     def test_against_grid_oracle(self, grover_params):
         cases = [(0, 0, 1, -1), (2, 0, 1, -1), (1, 3, -1, 1), (3, 3, 1, 1)]
         oracle = g_difference_oracle_table(cases, grover_params.c, grover_params.s, 4096)
         for case in cases:
-            assert abs(g_difference(*case, grover_params) - oracle[case]) < 1e-6
+            assert abs(g_table(*case, grover_params) - oracle[case]) < 1e-6
 
     @pytest.mark.parametrize("theta", stratified_thetas(12), ids="{:.3f}".format)
     def test_table_matches_quad_oracle(self, theta):
@@ -189,7 +189,7 @@ class TestGDifference:
         params = CoinParams(theta)
         for x, y in [(12, 0), (-12, 2), (11, 1), (-10, -2), (9, -3), (8, 4)]:
             for shift in SHIFTS:
-                value = g_difference(x, y, *shift, params)
+                value = g_table(x, y, *shift, params)
                 oracle = g_difference_quad(x, y, *shift, params.c, params.s)
                 assert abs(value - oracle) <= 1e-12 + 1e-10 * abs(oracle)
 
@@ -204,14 +204,14 @@ class TestGDifference:
     def test_matches_mpmath(self, theta, case):
         params = CoinParams(theta)
         reference = g_difference_mp(*case, params.c, params.s)
-        assert abs(g_difference(*case, params) - reference) < 1e-13
+        assert abs(g_table(*case, params) - reference) < 1e-13
 
     def test_near_degenerate_angle_right_or_raises(self):
         # The boundary layer at b ~ |s| is 1e-4 wide here, and adaptive quad
         # missed it (it returned -2.7e-13).  Reference: mpmath at 30 digits
         # with breakpoints at |s| and 10|s| from both endpoints.
         try:
-            value = g_difference(5, 7, 1, 1, CoinParams(math.pi - 1e-4))
+            value = g_table(5, 7, 1, 1, CoinParams(math.pi - 1e-4))
         except QuadratureError:
             return
         assert abs(value / -353.6776525197882 - 1.0) < 1e-9
@@ -221,7 +221,7 @@ class TestGDifference:
         # n-vs-2n certificate cannot be formed
         monkeypatch.setattr(hexwalk.limits, "_MAX_NODES", 8 * 24 + 32)
         with pytest.raises(QuadratureError):
-            g_difference(0, 24, 0, 2, grover_params)
+            g_table(0, 24, 0, 2, grover_params)
 
 
 class TestAsymptoticAmplitude:
@@ -270,7 +270,7 @@ class TestAsymptoticAmplitude:
         params = CoinParams(theta)
         coin = build_coin(params)
         sites = [(2, 0), (1, 1), (0, 2), (-1, -1)]
-        wf = initial_wavefunction(state)
+        wf = evolve(state, 0, coin)
         total = np.zeros((len(sites), 3), dtype=complex)
         for t in range(1, 201):
             wf = step(wf, coin)

@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexwalk
 from hexwalk import (
     GROVER_THETA,
     CoinParams,
@@ -14,8 +17,9 @@ from hexwalk import (
     eigenphases_closed_form,
     evolve,
     fourier_evolve,
-    g_difference,
     inverse_transform_site,
+    origin_amplitudes,
+    return_series,
     two_step_operator,
 )
 
@@ -289,15 +293,15 @@ class TestInverseTransform:
     (lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0, 0.5, 16, coin), TypeError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), 1, math.nan, 0, 16, coin),
      TypeError),
-    (lambda coin: g_difference(0.5, 0, 1, 1, CoinParams.grover()), TypeError),
-    (lambda coin: g_difference(0, 0, 1.9, 1, CoinParams.grover()), TypeError),
     (lambda coin: asymptotic_amplitude(0.5, 0, CoinParams.grover(), CoinState.uniform()),
      TypeError),
+    (lambda coin: next(origin_amplitudes(CoinState(0, 1, 0), 40.0, coin)), TypeError),
+    (lambda coin: return_series(CoinState(0, 1, 0), 4.0, coin), TypeError),
     (lambda coin: evolve(CoinState.uniform(), -1, coin), ValueError),
     (lambda coin: fourier_evolve(CoinState.uniform(), -1, Momentum(1, 1), coin), ValueError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), -1, 0, 0, 8, coin), ValueError),
 ], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan",
-        "g_difference-x=0.5", "g_difference-x1=1.9", "asymptotic_amplitude-x=0.5",
+        "asymptotic_amplitude-x=0.5", "origin_amplitudes-t_max=40.0", "return_series-t_max=4.0",
         "evolve-t=-1", "fourier_evolve-t=-1", "inverse_transform_site-t=-1"])
 def test_float_counts_rejected(grover_coin, call, error):
     # as in evolve: a count is a non-negative integer, and U2^2.5, U2^-1 or a 2.5-point
@@ -318,9 +322,17 @@ def test_package_never_imports_scipy():
         "inverse_transform_site(state, 2, 1, 1, 8, coin)\n"
         "eigenphases_closed_form(m, params)\n"
         "asymptotic_amplitude(2, 0, params, state)\n"
-        "g_difference(1, 1, 2, 0, params)\n"
         "evolve(state, 4, coin)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_every_public_name():
+    # each name the package exports appears in a code span of README's Library section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", library)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    assert set(hexwalk.__all__) - named == set()
