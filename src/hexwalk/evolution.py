@@ -6,13 +6,6 @@ Because a walk started at the origin always occupies a single sublattice,
 the step alternates between the two rows of ``HOPS``: A-sites feed B-sites
 at even times and vice versa.
 
-Wave functions are sparse: an (n, 2) array of integer site indices, rows
-sorted by (x, y), and an (n, 3) complex array of amplitudes stored
-component-major, as the transpose of three contiguous (3, n) planes.  A step
-mixes the planes with one product and copies each mixed plane into place.
-The scatter is collision-free -- each (site, component) pair receives
-exactly one contribution -- so values are copied, never summed.
-
 A wave function, the one checked site table, holds a state a walk from one
 site reaches, cropped or not.  These are the states in column-run form: x
 columns consecutive, each column one progression y, y + 2, ..., one parity
@@ -20,27 +13,46 @@ of x + y in every row, and the y ranges of neighbouring columns overlapping
 to within 3.  One site is in the form, and each hop moves a column as a
 whole, so the parity and overlap rules make each output column one
 progression again.  The form, with coordinates of size at most 2**59, is
-checked once, when a wave function is built, and it keeps the column ends
-it found.  A step places every row from those ends alone and refuses
-nothing; an output past 2**59 fails when it is built.  A distribution lays
-probabilities on the rows of a wave function and checks nothing again.
+checked once, when a wave function is built from rows.
+
+The state is one (3, columns, u) complex block in sheared coordinates, 48
+bytes per cell: cell (i, k) holds the site x = x0 + i, y = x + 2k + c, so a
+walk from A(0, 0) puts A(x, y) at u = (y - x)/2 and B(x, y) at
+u = (y - x - 1)/2, less the box's least u.  Each column keeps the ends of
+its run of k, and every cell outside the runs is exactly 0.  The block is
+the table's (x, u) bounding box: a walk's holds (t + 1)**2 cells, about 4/3
+of its rows, and a table built by hand is held in its box too, so a
+staircase of one row per column, each one lower, is held in a square.  Every
+hop moves the whole block by one shift: from A, coins 0, 1 and 2 move it by
+(0, 0), (-1, 0) and (0, -1); from B by (0, 0), (+1, 0) and (0, +1).  So a
+step mixes the block, copies each mixed plane into a block one column and
+one u wider, and derives the output runs from the input's in O(columns); it
+refuses nothing but an output past 2**59.  Each (site, component) pair
+receives exactly one contribution, so values are copied, never summed.
+
+``xy`` and ``values`` are built from the block on first read and then
+cached, 64 bytes per row; ``len``, ``amplitude`` and ``step`` need no rows.
+A distribution lays probabilities on the rows of a wave function and checks
+nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
-``last``, and then drops the A-rows more than ``last - t`` hops out.  The
-coin mixes each row alone and the scatter only copies, so the stream is the
-same bit for bit as that of a full evolution.
+``last``, and then crops the block to the A-sites at most ``last - t`` hops
+out: it slices the block to their box, clips the runs and zeroes the cells
+outside them.  The coin mixes each site alone and the scatter only copies,
+so the stream is the same bit for bit as that of a full evolution.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coin import CoinState
-from .lattice import HOPS, Site, Sublattice, _hop_distance
+from .lattice import HOPS, Site, Sublattice
 
 __all__ = [
     "WaveFunction",
@@ -52,58 +64,91 @@ __all__ = [
     "return_series",
 ]
 
-# The run merge pads the column ends with _PAD and -_PAD.  Tables admit sizes
-# up to _PAD // 2 = 2**59, so a pad lies beyond every hop target (2**59 + 1 at
-# most), and no difference of ends and pads overflows int64.
-_PAD = 2**60
+# The largest site coordinate a table admits: every coordinate, shear offset
+# and run end of a table then fits in int64.
+_LIMIT = 2**59
+_PAST_LIMIT = "no walk from one site reaches these rows, or one is past 2**59"
+# A step mixes the block in chunks of whole columns of about this many cells,
+# 192 KB of mixed amplitudes: each chunk is copied into place while it is
+# still in cache, and no mixed copy of the whole block is held.
+_CHUNK_CELLS = 2**12
 
 
-@dataclass(frozen=True)
 class WaveFunction:
-    """Sparse walker state at step ``t``: complex amplitude triples per site.
+    """Walker state at step ``t``: complex amplitude triples per site.
 
-    ``xy`` holds a state a walk from one site reaches (see the module
-    docstring), checked once when the table is built, so :func:`step` takes
-    any wave function; ``values`` holds the matching (n, 3) amplitudes.  Both
-    arrays are read-only.  ``xy`` is C-contiguous; ``values`` is kept in the
-    layout it is given, so the column-major amplitudes that :func:`step`
-    returns are not copied.
+    Built from ``xy``, the (n, 2) integer sites of a state a walk from one
+    site reaches (see the module docstring), and ``values``, the matching
+    (n, 3) amplitudes.  The form is checked once, here, and the rows are
+    copied into the block :func:`step` advances, so :func:`step` takes any
+    wave function.  ``xy`` and ``values`` read the rows back: both are
+    read-only, ``xy`` C-contiguous and ``values`` in the layout it was given,
+    or column-major when built from the block.
     """
 
-    sublattice: Sublattice
-    xy: np.ndarray
-    values: np.ndarray
-    t: int
-    _runs: tuple[int, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.sublattice not in HOPS:
-            raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sublattice!r}")
-        xy = np.ascontiguousarray(self.xy, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, sublattice: Sublattice, xy, values, t: int) -> None:
+        if sublattice not in HOPS:
+            raise ValueError(f"sublattice tag must be 'A' or 'B', got {sublattice!r}")
+        xy = np.ascontiguousarray(xy, dtype=np.int64)
+        values = np.asarray(values, dtype=np.complex128)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], 3):
             raise ValueError("xy must be (n, 2) and values (n, 3)")
         runs = _column_runs(xy)
         if runs is None:
-            raise ValueError("no walk from one site reaches these rows, or one is past 2**59")
+            raise ValueError(_PAST_LIMIT)
+        x0, lo, hi = runs
+        ys = int(lo.min()), int(hi.max())
+        x = np.arange(x0, x0 + len(lo))
+        c = int((lo - x).min())
+        lo, hi = (lo - x - c) // 2, (hi - x - c) // 2
+        planes = np.zeros((3, len(lo), int(hi.max()) + 1), dtype=np.complex128)
+        planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = values.T
+        self._hold(sublattice, t, x0, c, lo, hi, planes, ys)
         xy.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_runs", runs)
+        self._rows = xy, values
+
+    @classmethod
+    def _block(cls, *block) -> WaveFunction:
+        wf = cls.__new__(cls)
+        wf._hold(*block)
+        return wf
+
+    def _hold(self, sublattice, t, x0, c, lo, hi, planes, ys) -> None:
+        self.sublattice, self.t = sublattice, t
+        self._x0, self._c, self._lo, self._hi, self._planes = x0, c, lo, hi, planes
+        # The least and largest y of the rows: a step moves each by exactly one.
+        self._ys = ys
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(self._planes.shape[2])
+        inside = (self._lo[:, None] <= k) & (k <= self._hi[:, None])
+        i, k = np.nonzero(inside)
+        x = i + self._x0
+        xy = np.stack([x, x + 2 * k + self._c], axis=1)
+        values = self._planes[:, inside].T
+        xy.setflags(write=False)
+        values.setflags(write=False)
+        return xy, values
+
+    @property
+    def xy(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._rows[1]
 
     def __len__(self) -> int:
-        return self.xy.shape[0]
+        return int((self._hi - self._lo).sum()) + len(self._lo)
 
     def amplitude(self, site: Site) -> np.ndarray:
-        """Amplitude triple at ``site`` (a binary search in ``xy``; zeros if unoccupied)."""
-        if site.sub == self.sublattice:
-            xs = self.xy[:, 0]
-            lo = int(np.searchsorted(xs, site.x, side="left"))
-            hi = int(np.searchsorted(xs, site.x, side="right"))
-            i = lo + int(np.searchsorted(self.xy[lo:hi, 1], site.y))
-            if i < hi and self.xy[i, 1] == site.y:
-                return self.values[i].copy()
+        """Amplitude triple at ``site`` (one index into the block; zeros if unoccupied)."""
+        i, v = site.x - self._x0, site.y - site.x - self._c
+        if site.sub == self.sublattice and 0 <= i < len(self._lo) and v % 2 == 0 \
+                and int(self._lo[i]) <= v // 2 <= int(self._hi[i]):
+            return self._planes[:, i, v // 2].copy()
         return np.zeros(3, dtype=np.complex128)
 
     def norm_squared(self) -> float:
@@ -124,23 +169,45 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  The coin mixes the (3, n)
-    component planes, ``wf.values.T``, in one product, and the output rows
-    are placed from the column ends ``wf`` keeps, one run per hop and output
-    column; the result holds the output planes, transposed.  Every table is
-    a state a walk reaches, so ``step`` cannot refuse ``wf``; only an output
-    past 2**59 in size raises ValueError, when it is built.  The total norm
-    is kept up to the rounding of the coin multiply (well below 1e-12 per step).
+    neighbour along coin direction ``j``.  The coin mixes the block's three
+    component planes, one product per chunk of columns, and each mixed plane
+    is copied, shifted by its hop, into a block one column and one u wider;
+    a column's output run is the union of the runs its hops carry there.
+    Every table is a state a walk reaches, so ``step`` cannot refuse
+    ``wf``; only an output past 2**59 in size raises ValueError.  The total
+    norm is kept up to the rounding of the coin multiply (well below 1e-12
+    per step).
     """
-    mixed = coin @ np.ascontiguousarray(wf.values.T)
-    xy, out = _run_merge(*wf._runs, HOPS[wf.sublattice], mixed)
+    _, n, nu = wf._planes.shape
+    hops = HOPS[wf.sublattice]
+    shift = min(dx for dx, _ in hops)
+    # Where hop j puts input cell (0, 0) in the output block.
+    offsets = [(dx - shift, (dy - dx + 1) // 2) for dx, dy in hops]
+    planes = np.zeros((3, n + 1, nu + 1), dtype=np.complex128)
+    width = max(1, _CHUNK_CELLS // nu)
+    for a in range(0, n, width):
+        chunk = wf._planes[:, a:a + width]
+        mixed = (coin @ chunk.reshape(3, -1)).reshape(chunk.shape)
+        for j, (i, k) in enumerate(offsets):
+            # Adding +0 copies each amplitude and turns the -0 that some coins
+            # mix from the zero cells outside the runs into +0.
+            np.add(mixed[j], 0.0, out=planes[j, a + i:a + i + chunk.shape[1], k:k + nu])
+    # Per hop and output column, the run it carries there: empty (nu + 1 to -1)
+    # where the hop brings none, but every output column gets one.
+    lo, hi = np.full((3, n + 1), nu + 1), np.full((3, n + 1), -1)
+    for j, (i, k) in enumerate(offsets):
+        lo[j, i:i + n], hi[j, i:i + n] = wf._lo + k, wf._hi + k
+    lo, hi = lo.min(axis=0), hi.max(axis=0)
+    x0, ys = wf._x0 + shift, (wf._ys[0] - 1, wf._ys[1] + 1)
+    if not (-_LIMIT <= min(x0, ys[0]) and max(x0 + n, ys[1]) <= _LIMIT):
+        raise ValueError(_PAST_LIMIT)
     out_sub: Sublattice = "B" if wf.sublattice == "A" else "A"
-    return WaveFunction(out_sub, xy, out.T, wf.t + 1)
+    return WaveFunction._block(out_sub, wf.t + 1, x0, wf._c - 1, lo, hi, planes, ys)
 
 
 def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     """``(first x, column lows, column highs)`` if ``xy`` is in column-run form, else None."""
-    n, half = len(xy), _PAD // 2
+    n = len(xy)
     if not n:
         return None
     # Each row continues its column 2 higher or opens the next one.
@@ -156,49 +223,34 @@ def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     # first row in bounds, each row is exactly one such move, so the last x and
     # the column ends bound every row.  Columns share the parity of x + y when
     # their lows differ by an odd step.
-    if not (-half <= x0 and x0 + len(lo) - 1 <= half
-            and lo.min() >= -half and hi.max() <= half
+    if not (-_LIMIT <= x0 and x0 + len(lo) - 1 <= _LIMIT
+            and lo.min() >= -_LIMIT and hi.max() <= _LIMIT
             and ((lo[1:] - lo[:-1]) & 1).all()
             and (np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]) <= 3).all()):
         return None
     return x0, lo, hi
 
 
-def _run_merge(x0, lo, hi, hops, mixed):
-    """Output ``xy`` and (3, m) planes of a column-run state, see :func:`_column_runs`.
+def _crop(wf: WaveFunction, r: int) -> WaveFunction:
+    """The A-sites of ``wf`` at most ``r`` hops from A(0, 0), for even ``r``.
 
-    Hop ``j`` carries input column c to output column c + ``shift[j]`` (0 or
-    1) and moves its y range by ``dy[j]``.  An output column spans the union
-    of the ranges that land on it, one progression by the overlap rule, and
-    each hop fills one run of its rows.  A (3, m) mask marks those runs, so
-    one masked copy puts every mixed plane in place: the rows of a hop keep
-    their order.
+    ``wf`` is the A-state of a walk from A(0, 0) at an even time past ``r``,
+    so its block covers them all.  A(x, y) is max(2|x|, |x| + |y|) hops out:
+    the kept columns are |x| <= r/2, each with |y| <= r - |x|, so y spans
+    -r to r.  The block is sliced to their box and copied, so the larger
+    parent is not kept alive.
     """
-    dx, dy = np.array(hops).T[:, :, None]
-    shift = dx - dx.min()
-    # Column k + 1 of the padded ends is input column k; the pads, ends beyond
-    # any site, feed no rows.
-    src = np.arange(1, len(lo) + 2) - shift
-    lo_hops = np.concatenate([[_PAD], lo, [_PAD]])[src] + dy
-    hi_hops = np.concatenate([[-_PAD], hi, [-_PAD]])[src] + dy
-    lo_out = lo_hops.min(axis=0)
-    counts = (hi_hops.max(axis=0) - lo_out) // 2 + 1
-    # Per hop and output column: the rows before the hop's run, in it and after it.
-    runs = np.empty((3, len(counts), 3), dtype=np.int64)
-    runs[..., 0] = np.minimum((lo_hops - lo_out) // 2, counts)
-    runs[..., 1] = np.maximum((hi_hops - lo_hops) // 2 + 1, 0)
-    runs[..., 2] = counts - runs[..., 0] - runs[..., 1]
-    in_run = np.zeros(runs.shape, dtype=bool)
-    in_run[..., 1] = True
-    mask = np.repeat(in_run.reshape(-1), runs.reshape(-1))
-    out = np.zeros(mask.size, dtype=np.complex128)
-    out[mask] = mixed.reshape(-1)
-    m = mask.size // 3
-    first = np.cumsum(counts) - counts
-    columns = np.array([x0 + dx.min() + np.arange(len(counts)), lo_out - 2 * first]).T
-    xy = np.repeat(columns, counts, axis=0)
-    xy[:, 1] += np.arange(0, 2 * m, 2)
-    return xy, out.reshape(3, m)
+    h = r // 2
+    x = np.arange(-h, h + 1)
+    cols = slice(-h - wf._x0, h + 1 - wf._x0)
+    reach = r - np.abs(x)
+    lo = np.maximum(wf._lo[cols], (-reach - x - wf._c) // 2)
+    hi = np.minimum(wf._hi[cols], (reach - x - wf._c) // 2)
+    k0, k1 = int(lo.min()), int(hi.max()) + 1
+    k = np.arange(k0, k1)
+    inside = (lo[:, None] <= k) & (k <= hi[:, None])
+    planes = np.where(inside, wf._planes[:, cols, k0:k1], 0)
+    return WaveFunction._block("A", wf.t, -h, wf._c + 2 * k0, lo - k0, hi - k0, planes, (-r, r))
 
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
@@ -247,12 +299,7 @@ def origin_amplitudes(
         wf = step(wf, coin)
         # Rows lie at most t hops out, so only the second half crops.
         if last - t < t:
-            keep = np.flatnonzero(_hop_distance(wf.xy) <= last - t)
-            # Columns of the (3, n) planes, the layout step reads without a copy;
-            # no local name, which would keep them alive through the next two steps.
-            wf = WaveFunction(
-                wf.sublattice, wf.xy[keep], np.take(wf.values.T, keep, axis=1).T, t
-            )
+            wf = _crop(wf, last - t)
         yield t, wf.amplitude(origin)
 
 

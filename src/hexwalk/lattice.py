@@ -32,17 +32,6 @@ SQRT3_HALF = sqrt(3.0) / 2.0
 HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
 
 
-def _hop_distance(xy: np.ndarray) -> np.ndarray:
-    """Graph distance from A(0, 0) to the A-site at each row of ``xy``.
-
-    Two hops move an A-site by (0, +-2) or (+-1, +-1), so A(x, y) is
-    max(2|x|, |x| + |y|) hops away.  Exact on the A-sites a walk from the
-    origin can occupy, those with x + y even.
-    """
-    x, y = np.abs(xy[:, 0]), np.abs(xy[:, 1])
-    return np.maximum(2 * x, x + y)
-
-
 @dataclass(frozen=True, order=True)
 class Site:
     """A lattice vertex: sublattice tag plus integer indices.

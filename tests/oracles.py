@@ -3,14 +3,16 @@
 Nothing here shares code with the library's computational paths.  The
 steppers are plain dict scatters along the library's hop table
 ``hexwalk.lattice.HOPS``, one in floating point through :func:`shift_target`
-and one, for the rational coins, in exact integers; graph distances come
-from BFS; the Green-integral oracles are a regularized two-dimensional
-Riemann sum and adaptive quadrature (scipy's ``quad`` and mpmath's
-tanh-sinh) of the pointwise difference of two reduced integrands (the
-library integrates each site against an anchor on Gauss-Legendre nodes
-instead); the two-step momentum operator is one einsum of its
-definition, whose flat band is a null vector found by cross products, with
-no eigensolver; and its eigenpairs come from scipy's complex Schur
+and one, for the rational coins, in exact integers, and the row stepper the
+library's block stepper replaced, which places each output row from the
+column ends of its input rows; graph distances come from BFS and from the
+closed-form hop distance of an A-site; the Green-integral oracles are a
+regularized two-dimensional Riemann sum and adaptive quadrature (scipy's
+``quad`` and mpmath's tanh-sinh) of the pointwise difference of two reduced
+integrands (the library integrates each site against an anchor on
+Gauss-Legendre nodes instead); the two-step momentum operator is one
+einsum of its definition, whose flat band is a null vector found by cross
+products, with no eigensolver; and its eigenpairs come from scipy's complex Schur
 factorization (the library takes them from ``np.linalg.eig`` and one QR).
 Only these oracles import scipy: the package itself runs on numpy alone.
 """
@@ -74,6 +76,66 @@ def reference_evolve(state_triple, t: int, coin: np.ndarray) -> dict:
     for _ in range(t):
         amps = reference_step(amps, coin)
     return amps
+
+
+# The row stepper pads the column ends with _PAD and -_PAD.  Tables admit
+# sizes up to 2**59, so a pad lies beyond every hop target (2**59 + 1 at
+# most), and no difference of ends and pads overflows int64.
+_PAD = 2**60
+
+
+def row_step(wf, coin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(xy, values)`` one step after the wave function ``wf``, by the row stepper.
+
+    The coin mixes the (3, n) component planes of ``wf.values`` in one
+    product.  Hop ``j`` carries input column c to output column c +
+    ``shift[j]`` (0 or 1) and moves its y range by ``dy[j]``.  An output
+    column spans the union of the ranges that land on it, and each hop fills
+    one run of its rows.  A (3, m) mask marks those runs, so one masked copy
+    puts every mixed plane in place: the rows of a hop keep their order.
+    ``values`` is the transpose of the (3, m) output planes.
+    """
+    xy = wf.xy
+    starts = np.flatnonzero(np.diff(xy[:, 0])) + 1
+    lo = xy[np.concatenate(([0], starts)), 1]
+    hi = xy[np.concatenate((starts - 1, [len(xy) - 1])), 1]
+    mixed = coin @ np.ascontiguousarray(wf.values.T)
+    dx, dy = np.array(HOPS[wf.sublattice]).T[:, :, None]
+    shift = dx - dx.min()
+    # Column k + 1 of the padded ends is input column k; the pads, ends beyond
+    # any site, feed no rows.
+    src = np.arange(1, len(lo) + 2) - shift
+    lo_hops = np.concatenate([[_PAD], lo, [_PAD]])[src] + dy
+    hi_hops = np.concatenate([[-_PAD], hi, [-_PAD]])[src] + dy
+    lo_out = lo_hops.min(axis=0)
+    counts = (hi_hops.max(axis=0) - lo_out) // 2 + 1
+    # Per hop and output column: the rows before the hop's run, in it and after it.
+    runs = np.empty((3, len(counts), 3), dtype=np.int64)
+    runs[..., 0] = np.minimum((lo_hops - lo_out) // 2, counts)
+    runs[..., 1] = np.maximum((hi_hops - lo_hops) // 2 + 1, 0)
+    runs[..., 2] = counts - runs[..., 0] - runs[..., 1]
+    in_run = np.zeros(runs.shape, dtype=bool)
+    in_run[..., 1] = True
+    mask = np.repeat(in_run.reshape(-1), runs.reshape(-1))
+    out = np.zeros(mask.size, dtype=np.complex128)
+    out[mask] = mixed.reshape(-1)
+    m = mask.size // 3
+    first = np.cumsum(counts) - counts
+    columns = np.array([xy[0, 0] + dx.min() + np.arange(len(counts)), lo_out - 2 * first]).T
+    xy_out = np.repeat(columns, counts, axis=0)
+    xy_out[:, 1] += np.arange(0, 2 * m, 2)
+    return xy_out, out.reshape(3, m).T
+
+
+def hop_distance(xy: np.ndarray) -> np.ndarray:
+    """Graph distance from A(0, 0) to the A-site at each row of ``xy``.
+
+    Two hops move an A-site by (0, +-2) or (+-1, +-1), so A(x, y) is
+    max(2|x|, |x| + |y|) hops away.  Exact on the A-sites a walk from the
+    origin can occupy, those with x + y even.
+    """
+    x, y = np.abs(xy[:, 0]), np.abs(xy[:, 1])
+    return np.maximum(2 * x, x + y)
 
 
 def rational_cosine(m) -> Fraction:

@@ -127,7 +127,8 @@ def test_runner_refuses_to_run_without_the_console_script(tmp_path):
 
 
 def test_each_wave_function_is_checked_once(monkeypatch):
-    # t_max = 10: the initial state and ten steps; the distribution checks nothing again
+    # t_max = 10: only the initial state is built from rows; the ten steps
+    # derive their runs from it, and the distribution checks nothing again
     calls = []
     column_runs = hexwalk.evolution._column_runs
 
@@ -138,7 +139,13 @@ def test_each_wave_function_is_checked_once(monkeypatch):
     monkeypatch.setattr(hexwalk.evolution, "_column_runs", counted)
     out, err, code = run_cli(["simulate", *GROVER_BETA, "--t-max", "10"])
     assert (err, code) == ("", 0)
-    assert len(calls) == 11
+    assert len(calls) == 1
+    # a table built by hand is checked once too, however it is read or stepped
+    calls.clear()
+    wf = hexwalk.WaveFunction("A", [[0, 0], [0, 2], [1, 1]], np.eye(3), 0)
+    stepped = hexwalk.step(wf, hexwalk.build_coin(hexwalk.CoinParams.grover()))
+    assert len(stepped) == len(stepped.xy) == len(stepped.values) == 7
+    assert calls == [3]
 
 
 def test_small_resolved_angle_gives_finite_limit():

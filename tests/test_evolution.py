@@ -24,9 +24,11 @@ from conftest import random_state, random_theta, rows
 from oracles import (
     exact_walk,
     graph_distances,
+    hop_distance,
     rational_cosine,
     reference_evolve,
     reference_step,
+    row_step,
     shift_target,
     support_parity_ok,
 )
@@ -47,6 +49,12 @@ EXACT_WALKS = {
     "m=2": (2, (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))),
 }
 EXACT_T = 40
+
+# The walks the block stepper must step bit for bit like the row stepper.
+REFEREE_WALKS = {
+    "grover-beta": (CoinParams.grover(), BETA_STATE),
+    "theta=1.1": (CoinParams(1.1), CoinState(0.6, 0.0, 0.8j)),
+}
 
 
 @pytest.fixture(scope="module", params=list(EXACT_WALKS))
@@ -226,11 +234,32 @@ class TestStep:
             return
         wf = WaveFunction(sub, xy, values, 0)
         coin = build_coin(CoinParams(theta))
-        out = rows(step(wf, coin))
+        stepped = step(wf, coin)
+        out = rows(stepped)
         assert list(out) == sorted({shift_target(s, j) for s in rows(wf) for j in range(3)})
         ref = reference_step(rows(wf), coin)
         for site, row in out.items():
             np.testing.assert_allclose(row, ref[site], rtol=0, atol=1e-15)
+        ref_xy, ref_values = row_step(wf, coin)
+        assert stepped.xy.tobytes() == ref_xy.tobytes()
+        assert stepped.values.tobytes() == ref_values.tobytes()
+
+    @pytest.mark.parametrize("chunk_cells", [hexwalk.evolution._CHUNK_CELLS, 1],
+                             ids=["block-chunks", "column-chunks"])
+    @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
+    def test_every_step_matches_the_row_stepper(self, walk, chunk_cells, monkeypatch):
+        # the block stepper against the row stepper it replaced, bit for bit,
+        # mixing the whole block at once (61 columns at most here) or one
+        # column at a time
+        monkeypatch.setattr(hexwalk.evolution, "_CHUNK_CELLS", chunk_cells)
+        params, state = REFEREE_WALKS[walk]
+        coin = build_coin(params)
+        wf = evolve(state, 0, coin)
+        for t in range(60):
+            ref_xy, ref_values = row_step(wf, coin)
+            wf = step(wf, coin)
+            assert wf.xy.tobytes() == ref_xy.tobytes(), t
+            assert wf.values.tobytes() == ref_values.tobytes(), t
 
     @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
     @pytest.mark.parametrize("far", [2**59, 2**60 + 2, 2**62, 2**63 - 1, -2**59, -2**63],
@@ -296,6 +325,52 @@ class TestSupport:
             for t in range(61):
                 assert len(wf) == (3 * t * t + 6 * t + 4) // 4, (params.theta, t)
                 wf = step(wf, coin)
+
+
+def assert_block_invariants(wf):
+    # cells outside the runs are exactly +0, the block is about 4/3 of the
+    # rows, and a site one past either end of a run reads zeros
+    planes, lo, hi = wf._planes, wf._lo, wf._hi
+    _, columns, extent = planes.shape
+    k = np.arange(extent)
+    outside = planes[:, (k < lo[:, None]) | (k > hi[:, None])]
+    assert outside.tobytes() == bytes(outside.nbytes)
+    assert columns * extent <= 4 / 3 * len(wf) + 2 * (columns + extent)
+    for x in np.unique(wf.xy[:, 0]).tolist():
+        ys = wf.xy[wf.xy[:, 0] == x, 1].tolist()
+        for y in (ys[0] - 2, ys[-1] + 2):
+            assert wf.amplitude(Site(wf.sublattice, x, y)).tobytes() == bytes(48)
+
+
+class TestBlock:
+    @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
+    def test_every_step_keeps_the_block_invariants(self, walk):
+        params, state = REFEREE_WALKS[walk]
+        coin = build_coin(params)
+        wf = evolve(state, 0, coin)
+        for _ in range(61):
+            assert_block_invariants(wf)
+            wf = step(wf, coin)
+
+    @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
+    def test_every_crop_keeps_the_block_invariants(self, walk, monkeypatch):
+        # a crop keeps exactly the rows at most r hops out, bit for bit
+        params, state = REFEREE_WALKS[walk]
+        crops = []
+        real_crop = hexwalk.evolution._crop
+
+        def checked_crop(wf, r):
+            out = real_crop(wf, r)
+            keep = hop_distance(wf.xy) <= r
+            assert out.xy.tobytes() == wf.xy[keep].tobytes()
+            assert out.values.tobytes() == wf.values[keep].tobytes()
+            assert_block_invariants(out)
+            crops.append(r)
+            return out
+
+        monkeypatch.setattr(hexwalk.evolution, "_crop", checked_crop)
+        list(origin_amplitudes(state, 60, build_coin(params)))
+        assert crops == list(range(28, -1, -2))
 
 
 class TestDistribution:

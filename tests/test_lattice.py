@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hexwalk import Site, physical_coordinates
-from hexwalk.lattice import _hop_distance
 
-from oracles import graph_distances, shift_target, support_parity_ok
+from oracles import graph_distances, hop_distance, shift_target, support_parity_ok
 
 coords = st.integers(-1000, 1000)
 coin_indices = st.integers(0, 2)
@@ -164,7 +163,7 @@ class TestHopDistance:
             if (x + y) % 2 == 0
         ])
         inside = 0
-        for (x, y), d in zip(xy.tolist(), _hop_distance(xy).tolist()):
+        for (x, y), d in zip(xy.tolist(), hop_distance(xy).tolist()):
             site = Site.a(x, y)
             if site in ball:
                 inside += 1
