@@ -133,15 +133,18 @@ def build_coin(params: CoinParams) -> np.ndarray:
 
     which is symmetric and orthogonal for every admitted angle, and equals
     the Grover diffusion matrix (all off-diagonal 2/3, diagonal -1/3) at
-    c = -1/3.
+    c = -1/3.  At ``GROVER_THETA`` every entry is the correctly rounded -1/3
+    or 2/3: the formulas round -(1+c)/2 and s/sqrt(2) one ulp off there.
     """
     c, s = params.c, params.s
-    h = s / math.sqrt(2.0)
+    corner, h = -(1.0 + c) / 2.0, s / math.sqrt(2.0)
+    if params.theta == GROVER_THETA:
+        corner, h = -1.0 / 3.0, 2.0 / 3.0
     coin = np.array(
         [
-            [-(1.0 + c) / 2.0, h, (1.0 - c) / 2.0],
+            [corner, h, (1.0 - c) / 2.0],
             [h, c, h],
-            [(1.0 - c) / 2.0, h, -(1.0 + c) / 2.0],
+            [(1.0 - c) / 2.0, h, corner],
         ]
     )
     coin.setflags(write=False)

@@ -15,25 +15,31 @@ whole, so the parity and overlap rules make each output column one
 progression again.  The form, with coordinates of size at most 2**59, is
 checked once, when a wave function is built from rows.
 
-The state is one (3, columns, u) complex block in sheared coordinates, 48
-bytes per cell: cell (i, k) holds the site x = x0 + i, y = x + 2k + c, so a
-walk from A(0, 0) puts A(x, y) at u = (y - x)/2 and B(x, y) at
-u = (y - x - 1)/2, less the box's least u.  Each column keeps the ends of
-its run of k, and every cell outside the runs is exactly 0.  The block is
-the table's (x, u) bounding box: a walk's holds (t + 1)**2 cells, about 4/3
-of its rows, and a table built by hand is held in its box too, so a
-staircase of one row per column, each one lower, is held in a square.  Every
-hop moves the whole block by one shift: from A, coins 0, 1 and 2 move it by
-(0, 0), (-1, 0) and (0, -1); from B by (0, 0), (+1, 0) and (0, +1).  So a
-step mixes the block, copies each mixed plane into a block one column and
-one u wider, and derives the output runs from the input's in O(columns); it
-refuses nothing but an output past 2**59.  Each (site, component) pair
-receives exactly one contribution, so values are copied, never summed.
+The state is one (3, columns, u, p) float64 block in sheared coordinates:
+cell (i, k) holds the site x = x0 + i, y = x + 2k + c, so a walk from
+A(0, 0) puts A(x, y) at u = (y - x)/2 and B(x, y) at u = (y - x - 1)/2,
+less the box's least u.  The last axis holds the parts of each amplitude:
+p = 2 (real, imaginary) for a complex state, 48 bytes per cell, and p = 1
+(the real part alone) for a real one, 24 bytes per cell.  The coin is real
+and the scatter only copies, so a complex walk is two real walks and a real
+state stays real: a table picks p once, when it is built from rows, and
+every step keeps it.  Each column keeps the ends of its run of k, and every
+cell outside the runs is exactly 0.  The block is the table's (x, u)
+bounding box: a walk's holds (t + 1)**2 cells, about 4/3 of its rows, and a
+table built by hand is held in its box too, so a staircase of one row per
+column, each one lower, is held in a square.  Every hop moves the whole
+block by one shift: from A, coins 0, 1 and 2 move it by (0, 0), (-1, 0) and
+(0, -1); from B by (0, 0), (+1, 0) and (0, +1).  So a step mixes the block,
+in one real product for both parts, copies each mixed plane into a block
+one column and one u wider, and derives the output runs from the input's in
+O(columns); it refuses nothing but an output past 2**59.  Each (site,
+component) pair receives exactly one contribution, so values are copied,
+never summed.
 
 ``xy`` and ``values`` are built from the block on first read and then
-cached, 64 bytes per row; ``len``, ``amplitude`` and ``step`` need no rows.
-A distribution lays probabilities on the rows of a wave function and checks
-nothing again.
+cached, 64 bytes per row; ``values`` is complex128 whatever p is.  ``len``,
+``amplitude`` and ``step`` need no rows.  A distribution lays probabilities
+on the rows of a wave function and checks nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then crops the block to the A-sites at most ``last - t`` hops
@@ -68,9 +74,10 @@ __all__ = [
 # and run end of a table then fits in int64.
 _LIMIT = 2**59
 _PAST_LIMIT = "no walk from one site reaches these rows, or one is past 2**59"
-# A step mixes the block in chunks of whole columns of about this many cells,
-# 192 KB of mixed amplitudes: each chunk is copied into place while it is
-# still in cache, and no mixed copy of the whole block is held.
+# A step mixes the block in chunks of whole columns of about this many cells
+# (the last chunk up to twice as many), 96 KB of mixed amplitudes for a real
+# block and 192 KB for a complex one: each chunk is copied into place while it
+# is still in cache, and no mixed copy of the whole block is held.
 _CHUNK_CELLS = 2**12
 
 
@@ -81,9 +88,10 @@ class WaveFunction:
     site reaches (see the module docstring), and ``values``, the matching
     (n, 3) amplitudes.  The form is checked once, here, and the rows are
     copied into the block :func:`step` advances, so :func:`step` takes any
-    wave function.  ``xy`` and ``values`` read the rows back: both are
-    read-only, ``xy`` C-contiguous and ``values`` in the layout it was given,
-    or column-major when built from the block.
+    wave function; the block holds the real parts alone if every imaginary
+    part is 0.  ``xy`` and ``values`` read the rows back: both are
+    read-only, ``xy`` C-contiguous and ``values`` complex128, in the layout
+    it was given, or C-contiguous when built from the block.
     """
 
     def __init__(self, sublattice: Sublattice, xy, values, t: int) -> None:
@@ -101,8 +109,9 @@ class WaveFunction:
         x = np.arange(x0, x0 + len(lo))
         c = int((lo - x).min())
         lo, hi = (lo - x - c) // 2, (hi - x - c) // 2
-        planes = np.zeros((3, len(lo), int(hi.max()) + 1), dtype=np.complex128)
-        planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = values.T
+        parts = np.stack((values.real, values.imag), axis=-1)[..., :2 if values.imag.any() else 1]
+        planes = np.zeros((3, len(lo), int(hi.max()) + 1, parts.shape[2]))
+        planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = parts.swapaxes(0, 1)
         self._hold(sublattice, t, x0, c, lo, hi, planes, ys)
         xy.setflags(write=False)
         values.setflags(write=False)
@@ -127,7 +136,7 @@ class WaveFunction:
         i, k = np.nonzero(inside)
         x = i + self._x0
         xy = np.stack([x, x + 2 * k + self._c], axis=1)
-        values = self._planes[:, inside].T
+        values = _complex(np.ascontiguousarray(_cells(self._planes)[:, inside].T))
         xy.setflags(write=False)
         values.setflags(write=False)
         return xy, values
@@ -148,7 +157,7 @@ class WaveFunction:
         i, v = site.x - self._x0, site.y - site.x - self._c
         if site.sub == self.sublattice and 0 <= i < len(self._lo) and v % 2 == 0 \
                 and int(self._lo[i]) <= v // 2 <= int(self._hi[i]):
-            return self._planes[:, i, v // 2].copy()
+            return _complex(_cells(self._planes)[:, i, v // 2].copy())
         return np.zeros(3, dtype=np.complex128)
 
     def norm_squared(self) -> float:
@@ -169,29 +178,36 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     """Advance the walk by one step: coin at every site, then scatter.
 
     Component ``j`` of the mixed amplitude at each site moves to the
-    neighbour along coin direction ``j``.  The coin mixes the block's three
-    component planes, one product per chunk of columns, and each mixed plane
-    is copied, shifted by its hop, into a block one column and one u wider;
-    a column's output run is the union of the runs its hops carry there.
-    Every table is a state a walk reaches, so ``step`` cannot refuse
-    ``wf``; only an output past 2**59 in size raises ValueError.  The total
-    norm is kept up to the rounding of the coin multiply (well below 1e-12
-    per step).
+    neighbour along coin direction ``j``.  The real coin mixes the block's
+    three component planes, both parts at once, in one float64 product per
+    chunk of columns, and each mixed plane is copied, shifted by its hop,
+    into a block one column and one u wider; a column's output run is the
+    union of the runs its hops carry there.  Every table is a state a walk
+    reaches, so ``step`` cannot refuse ``wf``; only an output past 2**59 in
+    size raises ValueError.  The total norm is kept up to the rounding of
+    the coin multiply (well below 1e-12 per step).
     """
-    _, n, nu = wf._planes.shape
+    _, n, nu, p = wf._planes.shape
     hops = HOPS[wf.sublattice]
     shift = min(dx for dx, _ in hops)
     # Where hop j puts input cell (0, 0) in the output block.
     offsets = [(dx - shift, (dy - dx + 1) // 2) for dx, dy in hops]
-    planes = np.zeros((3, n + 1, nu + 1), dtype=np.complex128)
-    width = max(1, _CHUNK_CELLS // nu)
-    for a in range(0, n, width):
-        chunk = wf._planes[:, a:a + width]
-        mixed = (coin @ chunk.reshape(3, -1)).reshape(chunk.shape)
+    planes = np.zeros((3, n + 1, nu + 1, p))
+    # A product of one column goes through BLAS's gemv, which rounds otherwise
+    # than the gemm of wider ones.  So a chunk holds at least two values per
+    # component, two columns of a real block of one u, and the last chunk takes
+    # any columns left over: only a one-cell real block has a one-column product.
+    width = max(_CHUNK_CELLS // nu, 2 if nu * p == 1 else 1)
+    starts = range(0, max(n - width, 0) + 1, width)
+    mixed_rows = _aligned_rows(3, min(2 * width - 1, n) * nu * p)
+    for a, b in zip(starts, [*starts[1:], n]):
+        chunk = wf._planes[:, a:b]
+        out = mixed_rows[:, :chunk[0].size]
+        mixed = np.matmul(coin, chunk.reshape(3, -1), out=out).reshape(chunk.shape)
         for j, (i, k) in enumerate(offsets):
             # Adding +0 copies each amplitude and turns the -0 that some coins
             # mix from the zero cells outside the runs into +0.
-            np.add(mixed[j], 0.0, out=planes[j, a + i:a + i + chunk.shape[1], k:k + nu])
+            np.add(mixed[j], 0.0, out=planes[j, a + i:b + i, k:k + nu])
     # Per hop and output column, the run it carries there: empty (nu + 1 to -1)
     # where the hop brings none, but every output column gets one.
     lo, hi = np.full((3, n + 1), nu + 1), np.full((3, n + 1), -1)
@@ -231,6 +247,35 @@ def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     return x0, lo, hi
 
 
+def _aligned_rows(rows: int, columns: int) -> np.ndarray:
+    """An uninitialized (rows, columns) float64 array whose rows start on 64-byte lines.
+
+    numpy aligns a new array to 16 bytes only, and BLAS writes the coin
+    product in about two thirds of the time into rows that start on a cache
+    line.
+    """
+    stride = -(-columns // 8) * 8
+    raw = np.empty(rows * stride + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + rows * stride].reshape(rows, stride)[:, :columns]
+
+
+def _cells(planes: np.ndarray) -> np.ndarray:
+    """The (3, columns, u) cells of ``planes``, each cell's parts one item.
+
+    A mask or an index over the cells then moves each cell whole: broadcast
+    over the trailing parts axis instead, it is several times slower.
+    """
+    return planes.view(np.dtype((np.void, 8 * planes.shape[3])))[..., 0]
+
+
+def _complex(cells: np.ndarray) -> np.ndarray:
+    """The complex128 amplitudes of contiguous ``cells``: two parts in place, one part copied."""
+    if cells.itemsize == 16:
+        return cells.view(np.complex128)
+    return cells.view(np.float64).astype(np.complex128)
+
+
 def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     """The A-sites of ``wf`` at most ``r`` hops from A(0, 0), for even ``r``.
 
@@ -249,7 +294,9 @@ def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     k0, k1 = int(lo.min()), int(hi.max()) + 1
     k = np.arange(k0, k1)
     inside = (lo[:, None] <= k) & (k <= hi[:, None])
-    planes = np.where(inside, wf._planes[:, cols, k0:k1], 0)
+    box = wf._planes[:, cols, k0:k1]
+    planes = np.zeros(box.shape)
+    np.copyto(_cells(planes), _cells(box), where=inside)
     return WaveFunction._block("A", wf.t, -h, wf._c + 2 * k0, lo - k0, hi - k0, planes, (-r, r))
 
 

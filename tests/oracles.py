@@ -87,19 +87,28 @@ _PAD = 2**60
 def row_step(wf, coin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(xy, values)`` one step after the wave function ``wf``, by the row stepper.
 
-    The coin mixes the (3, n) component planes of ``wf.values`` in one
-    product.  Hop ``j`` carries input column c to output column c +
-    ``shift[j]`` (0 or 1) and moves its y range by ``dy[j]``.  An output
-    column spans the union of the ranges that land on it, and each hop fills
-    one run of its rows.  A (3, m) mask marks those runs, so one masked copy
-    puts every mixed plane in place: the rows of a hop keep their order.
-    ``values`` is the transpose of the (3, m) output planes.
+    The coin mixes the (3, n) component planes of ``wf.values`` in one real
+    product, as the block stepper does: on the (3, n, 2) float64 planes of
+    the real and imaginary parts, or on the real parts alone if every
+    imaginary part is 0.  A product of one column (one real row) goes
+    through BLAS's gemv, which rounds differently from the gemm of wider
+    ones, and so does the block stepper's step from one real site.  Hop
+    ``j`` carries input column c to output column c + ``shift[j]`` (0 or 1)
+    and moves its y range by ``dy[j]``.  An output column spans the union
+    of the ranges that land on it, and each hop fills one run of its rows.
+    A (3, m) mask marks those runs, so one masked copy puts every mixed
+    plane in place: the rows of a hop keep their order.  ``values`` is the
+    transpose of the (3, m) output planes.
     """
     xy = wf.xy
     starts = np.flatnonzero(np.diff(xy[:, 0])) + 1
     lo = xy[np.concatenate(([0], starts)), 1]
     hi = xy[np.concatenate((starts - 1, [len(xy) - 1])), 1]
-    mixed = coin @ np.ascontiguousarray(wf.values.T)
+    values = wf.values.T
+    parts = np.stack((values.real, values.imag), axis=-1)[..., :2 if values.imag.any() else 1]
+    pairs = np.zeros(values.shape + (2,))
+    pairs[..., :parts.shape[2]] = (coin @ parts.reshape(3, -1)).reshape(parts.shape)
+    mixed = pairs.view(np.complex128)
     dx, dy = np.array(HOPS[wf.sublattice]).T[:, :, None]
     shift = dx - dx.min()
     # Column k + 1 of the padded ends is input column k; the pads, ends beyond

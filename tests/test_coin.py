@@ -128,6 +128,12 @@ class TestBuildCoin:
         coin = build_coin(CoinParams.grover())
         np.testing.assert_allclose(coin, GROVER, atol=1e-15)
 
+    def test_grover_entries_correctly_rounded(self):
+        # -(1+c)/2 and s/sqrt(2) round one ulp off -1/3 and 2/3 at the Grover
+        # angle, which doubles the stepper's error against exact arithmetic;
+        # GROVER's int / int quotients are correctly rounded
+        assert build_coin(CoinParams.grover()).tobytes() == GROVER.tobytes()
+
     def test_theta_half_pi_matrix(self):
         coin = build_coin(CoinParams(math.pi / 2))
         r = 1 / math.sqrt(2)

@@ -42,11 +42,20 @@ WALKS = [
 ]
 
 # Rational coins, c = (1 - 2m^2)/(1 + 2m^2) with m = 1 the Grover coin, from
-# rational states: the exact oracle carries these walks in integers.
+# rational states, each given as the real and imaginary parts of its triple.
+# The coin is real, so a walk is the walks of its two parts, and the exact
+# oracle carries each in integers.  Real states step a block of one part,
+# the complex state (3/5, 0, 4i/5) a block of two.
+NO_IMAGINARY_PART = (0, 0, 0)
+COMPLEX_STATE = ((Fraction(3, 5), 0, 0), (0, 0, Fraction(4, 5)))
+REAL_EXACT_WALKS = {
+    "m=1": (1, ((0, 1, 0), NO_IMAGINARY_PART)),
+    "m=1/2": (Fraction(1, 2), ((Fraction(3, 5), 0, Fraction(4, 5)), NO_IMAGINARY_PART)),
+    "m=2": (2, ((Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), NO_IMAGINARY_PART)),
+}
 EXACT_WALKS = {
-    "m=1": (1, (0, 1, 0)),
-    "m=1/2": (Fraction(1, 2), (Fraction(3, 5), 0, Fraction(4, 5))),
-    "m=2": (2, (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))),
+    **REAL_EXACT_WALKS,
+    **{f"{name}-complex": (m, COMPLEX_STATE) for name, (m, _) in REAL_EXACT_WALKS.items()},
 }
 EXACT_T = 40
 
@@ -59,10 +68,29 @@ REFEREE_WALKS = {
 
 @pytest.fixture(scope="module", params=list(EXACT_WALKS))
 def exact(request):
-    """``(state, coin, [(scale, amps) for t = 0 .. EXACT_T])`` of one rational walk."""
-    m, state = EXACT_WALKS[request.param]
+    """``(state, coin, walk)`` of one rational walk, to ``EXACT_T``.
+
+    ``walk[t]`` is the pair of :func:`exact_walk` steps ``(scale, amps)`` of
+    the real and the imaginary parts at step t.
+    """
+    m, (re, im) = EXACT_WALKS[request.param]
     coin = build_coin(CoinParams(math.acos(rational_cosine(m))))
-    return CoinState(*map(float, state)), coin, list(exact_walk(m, state, EXACT_T))
+    state = CoinState(*(complex(a, b) for a, b in zip(map(float, re), map(float, im))))
+    return state, coin, list(zip(exact_walk(m, re, EXACT_T), exact_walk(m, im, EXACT_T)))
+
+
+def exact_amplitudes(parts, sites):
+    """The correctly rounded complex triples of one exact step at ``sites``."""
+    (re_scale, re), (im_scale, im) = parts
+    return [[complex(a / re_scale, b / im_scale) for a, b in zip(re[site], im[site])]
+            for site in sites]
+
+
+def exact_origin_probability(parts) -> float:
+    """The origin probability of one exact step, correctly rounded."""
+    (re_scale, re), (im_scale, im) = parts
+    return float(Fraction(sum(a * a for a in re[0, 0]), re_scale**2)
+                 + Fraction(sum(b * b for b in im[0, 0]), im_scale**2))
 
 
 @st.composite
@@ -203,7 +231,7 @@ class TestStep:
             wf.values[0, 0] = 0.0
 
     def test_input_layout_does_not_change_the_step(self):
-        # step returns column-major values; a hand-built state is C-ordered
+        # a hand-built table keeps the layout of the values it was given
         coin = build_coin(CoinParams(4.0))
         wf = evolve(CoinState(0.48 + 0.6j, 0.64, 0.0), 9, coin)
         tables = [
@@ -217,17 +245,18 @@ class TestStep:
         assert stepped[0].xy.tobytes() == stepped[1].xy.tobytes()
         assert stepped[0].values.tobytes() == stepped[1].values.tobytes()
 
-    @given(state=column_states(), theta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
-    def test_column_runs_step_like_the_window_merge(self, state, theta, seed):
-        # a state in the form steps to the union of its hop targets with the
-        # reference values, the rows and values a merge of the three hop
-        # windows gives; no walk from one site reaches any other state, and
-        # no table holds one
+    @given(state=column_states(), theta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans())
+    def test_column_runs_step_like_the_window_merge(self, state, theta, seed, real):
+        # a state in the form, real or complex, steps to the union of its hop
+        # targets with the reference values, the rows and values a merge of
+        # the three hop windows gives; no walk from one site reaches any other
+        # state, and no table holds one
         sub, xy, in_form = state
         rng = np.random.default_rng(seed)
         shape = (len(xy), 3)
         # |mixed| stays near 1, so the two summation orders agree within 1e-15
-        values = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+        values = rng.uniform(-0.5, 0.5, shape) + 1j * (not real) * rng.uniform(-0.5, 0.5, shape)
         if not in_form:
             with pytest.raises(ValueError, match="no walk from one site reaches"):
                 WaveFunction(sub, xy, values, 0)
@@ -260,6 +289,24 @@ class TestStep:
             wf = step(wf, coin)
             assert wf.xy.tobytes() == ref_xy.tobytes(), t
             assert wf.values.tobytes() == ref_values.tobytes(), t
+
+    @pytest.mark.parametrize("chunk_cells", [hexwalk.evolution._CHUNK_CELLS, 2, 1])
+    @pytest.mark.parametrize("n", [1, hexwalk.evolution._CHUNK_CELLS + 1])
+    def test_a_real_diagonal_matches_the_row_stepper(self, n, chunk_cells, monkeypatch):
+        # a real block of one u holds one value per column and component, and
+        # a product of one column goes through BLAS's gemv, which rounds
+        # otherwise than gemm: one site steps by gemv on both sides, and a
+        # diagonal of sites, in any chunks and with a column left over past the
+        # default ones, steps like the row stepper's one product of all rows
+        monkeypatch.setattr(hexwalk.evolution, "_CHUNK_CELLS", chunk_cells)
+        coin = build_coin(CoinParams(1.1))
+        values = np.random.default_rng(0).uniform(-0.5, 0.5, (n, 3))
+        wf = WaveFunction("A", [[x, x] for x in range(n)], values, 0)
+        assert wf._planes.shape == (3, n, 1, 1)
+        ref_xy, ref_values = row_step(wf, coin)
+        stepped = step(wf, coin)
+        assert stepped.xy.tobytes() == ref_xy.tobytes()
+        assert stepped.values.tobytes() == ref_values.tobytes()
 
     @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
     @pytest.mark.parametrize("far", [2**59, 2**60 + 2, 2**62, 2**63 - 1, -2**59, -2**63],
@@ -327,11 +374,13 @@ class TestSupport:
                 wf = step(wf, coin)
 
 
-def assert_block_invariants(wf):
-    # cells outside the runs are exactly +0, the block is about 4/3 of the
-    # rows, and a site one past either end of a run reads zeros
+def assert_block_invariants(wf, state):
+    # the block holds both parts of a complex state and the real part alone of
+    # a real one, cells outside the runs are exactly +0, the block is about
+    # 4/3 of the rows, and a site one past either end of a run reads zeros
     planes, lo, hi = wf._planes, wf._lo, wf._hi
-    _, columns, extent = planes.shape
+    _, columns, extent, parts = planes.shape
+    assert parts == (2 if state.as_array().imag.any() else 1)
     k = np.arange(extent)
     outside = planes[:, (k < lo[:, None]) | (k > hi[:, None])]
     assert outside.tobytes() == bytes(outside.nbytes)
@@ -349,7 +398,7 @@ class TestBlock:
         coin = build_coin(params)
         wf = evolve(state, 0, coin)
         for _ in range(61):
-            assert_block_invariants(wf)
+            assert_block_invariants(wf, state)
             wf = step(wf, coin)
 
     @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
@@ -364,7 +413,7 @@ class TestBlock:
             keep = hop_distance(wf.xy) <= r
             assert out.xy.tobytes() == wf.xy[keep].tobytes()
             assert out.values.tobytes() == wf.values[keep].tobytes()
-            assert_block_invariants(out)
+            assert_block_invariants(out, state)
             crops.append(r)
             return out
 
@@ -495,25 +544,27 @@ class TestReturnSeries:
 
 class TestExactWalk:
     # The bound is one 2**-52 per step, and t = 0 is exact: both sides round
-    # the same rationals.  Measured to T = 40, the amplitude error peaks at
-    # 0.75 t 2**-52 (m = 2; 0.5 for m = 1, 0.375 for m = 1/2) and the
-    # probability error at 0.19 t 2**-52; at T = 40 the amplitude errors are
-    # 1.1e-15, 4.2e-16 and 2.7e-16.  CoinParams(acos(c)) is exact for m = 1
-    # (the Grover angle) but rounds c by one ulp for m = 1/2 and 2; a walk with
-    # the correctly rounded coin D C / D is off by 5.6e-16, 4.7e-16 and
-    # 3.3e-16 at T = 40.  So the rounding of c adds nothing measurable, while
-    # build_coin's one-ulp entries at m = 1 double that walk's error.
+    # the same rationals.  Measured to T = 40 from the real states, the
+    # amplitude error peaks at 0.75 t 2**-52 (m = 2; 0.083 for m = 1, 0.375
+    # for m = 1/2) and the probability error at 0.18 t 2**-52; at T = 40 the
+    # amplitude errors are 5.6e-16, 4.2e-16 and 2.7e-16.  From (3/5, 0, 4i/5)
+    # the amplitude error peaks at 0.25, 0.35 and 0.53 t 2**-52 and the
+    # probability error at 0.29 t 2**-52 (m = 1/2).  CoinParams(acos(c)) is
+    # exact for m = 1 (the Grover angle), and build_coin gives the correctly
+    # rounded Grover entries there; for m = 1/2 and 2 it rounds c by one ulp,
+    # but a walk with the correctly rounded coin D C / D is off by 4.7e-16 and
+    # 3.3e-16 at T = 40, so the rounding of c adds nothing measurable.
     ULP = 2.0**-52
 
     def test_evolve_matches(self, exact):
         # every step of the walk, and evolve to its end, which takes the same steps
         state, coin, walk = exact
         wf = evolve(state, 0, coin)
-        for t, (scale, amps) in enumerate(walk):
+        for t, amps in enumerate(walk):
             if t:
                 wf = step(wf, coin)
-            assert len(wf) == len(amps)
-            expected = [[a / scale for a in amps[x, y]] for x, y in wf.xy.tolist()]
+            assert len(wf) == len(amps[0][1])
+            expected = exact_amplitudes(amps, map(tuple, wf.xy.tolist()))
             assert np.abs(wf.values - expected).max() <= t * self.ULP, t
         assert evolve(state, EXACT_T, coin).values.tobytes() == wf.values.tobytes()
 
@@ -522,13 +573,17 @@ class TestExactWalk:
         stream = list(origin_amplitudes(state, EXACT_T, coin))
         assert [t for t, _ in stream] == list(range(0, EXACT_T + 1, 2))
         for t, amp in stream:
-            scale, amps = walk[t]
-            expected = [a / scale for a in amps[0, 0]]
-            assert np.abs(amp - expected).max() <= t * self.ULP, t
+            assert np.abs(amp - exact_amplitudes(walk[t], [(0, 0)])[0]).max() <= t * self.ULP, t
 
     def test_return_series_matches(self, exact):
         state, coin, walk = exact
         for t, p in return_series(state, EXACT_T, coin):
-            scale, amps = walk[t]
-            expected = sum(a * a for a in amps[0, 0]) / scale**2
-            assert abs(p - expected) <= t * self.ULP, t
+            assert abs(p - exact_origin_probability(walk[t])) <= t * self.ULP, t
+
+    def test_an_imaginary_state_returns_like_its_real_one(self, grover_coin):
+        # i (0, 1, 0) steps a block of two parts and (0, 1, 0) one of one part
+        real, imaginary = (return_series(CoinState(0, b, 0), EXACT_T, grover_coin)
+                           for b in (1, 1j))
+        assert [t for t, _ in real] == [t for t, _ in imaginary]
+        for (t, p), (_, q) in zip(real, imaginary):
+            assert abs(p - q) <= t * self.ULP, t
