@@ -15,31 +15,31 @@ whole, so the parity and overlap rules make each output column one
 progression again.  The form, with coordinates of size at most 2**59, is
 checked once, when a wave function is built from rows.
 
-The state is one (3, columns, u, p) float64 block in sheared coordinates:
+The state is one block of (3, columns, u) planes in sheared coordinates:
 cell (i, k) holds the site x = x0 + i, y = x + 2k + c, so a walk from
 A(0, 0) puts A(x, y) at u = (y - x)/2 and B(x, y) at u = (y - x - 1)/2,
-less the box's least u.  The last axis holds the parts of each amplitude:
-p = 2 (real, imaginary) for a complex state, 48 bytes per cell, and p = 1
-(the real part alone) for a real one, 24 bytes per cell.  The coin is real
-and the scatter only copies, so a complex walk is two real walks and a real
-state stays real: a table picks p once, when it is built from rows, and
-every step keeps it.  Each column keeps the ends of its run of k, and every
-cell outside the runs is exactly 0.  The block is the table's (x, u)
-bounding box: a walk's holds (t + 1)**2 cells, about 4/3 of its rows, and a
-table built by hand is held in its box too, so a staircase of one row per
-column, each one lower, is held in a square.  Every hop moves the whole
-block by one shift: from A, coins 0, 1 and 2 move it by (0, 0), (-1, 0) and
-(0, -1); from B by (0, 0), (+1, 0) and (0, +1).  So a step mixes the block,
-in one real product for both parts, copies each mixed plane into a block
-one column and one u wider, and derives the output runs from the input's in
-O(columns); it refuses nothing but an output past 2**59.  Each (site,
-component) pair receives exactly one contribution, so values are copied,
-never summed.
+less the box's least u.  The planes are complex128 for a complex state, 48
+bytes per cell, and float64 for a real one, 24 bytes per cell.  The coin is
+real and the scatter only copies, so a complex walk is two real walks and a
+real state stays real: a table picks the dtype once, when it is built from
+rows, and every step keeps it.  Each column keeps the ends of its run of k,
+and every cell outside the runs is exactly 0.  The block is the table's
+(x, u) bounding box: a walk's holds (t + 1)**2 cells, about 4/3 of its
+rows, and a table built by hand is held in its box too, so a staircase of
+one row per column, each one lower, is held in a square.  Every hop moves
+the whole block by one shift: from A, coins 0, 1 and 2 move it by (0, 0),
+(-1, 0) and (0, -1); from B by (0, 0), (+1, 0) and (0, +1).  So a step
+mixes the block in one real product on its float64 view, copies each mixed
+plane into a block one column and one u wider, and derives the output runs
+from the input's in O(columns); it refuses nothing but an output past
+2**59.  Each (site, component) pair receives exactly one contribution, so
+values are copied, never summed.
 
 ``xy`` and ``values`` are built from the block on first read and then
-cached, 64 bytes per row; ``values`` is complex128 whatever p is.  ``len``,
-``amplitude`` and ``step`` need no rows.  A distribution lays probabilities
-on the rows of a wave function and checks nothing again.
+cached, 64 bytes per row; ``values`` is complex128 whatever the block's
+dtype.  ``len``, ``amplitude``, ``norm_squared`` and ``step`` need no rows.
+A distribution lays probabilities on the rows of a wave function and checks
+nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then crops the block to the A-sites at most ``last - t`` hops
@@ -88,10 +88,10 @@ class WaveFunction:
     site reaches (see the module docstring), and ``values``, the matching
     (n, 3) amplitudes.  The form is checked once, here, and the rows are
     copied into the block :func:`step` advances, so :func:`step` takes any
-    wave function; the block holds the real parts alone if every imaginary
-    part is 0.  ``xy`` and ``values`` read the rows back: both are
-    read-only, ``xy`` C-contiguous and ``values`` complex128, in the layout
-    it was given, or C-contiguous when built from the block.
+    wave function; the block is float64 if every imaginary part is 0 and
+    complex128 otherwise.  ``xy`` and ``values`` read the rows back: both
+    are read-only, ``xy`` C-contiguous and ``values`` complex128, in the
+    layout it was given, or C-contiguous when built from the block.
     """
 
     def __init__(self, sublattice: Sublattice, xy, values, t: int) -> None:
@@ -109,9 +109,9 @@ class WaveFunction:
         x = np.arange(x0, x0 + len(lo))
         c = int((lo - x).min())
         lo, hi = (lo - x - c) // 2, (hi - x - c) // 2
-        parts = np.stack((values.real, values.imag), axis=-1)[..., :2 if values.imag.any() else 1]
-        planes = np.zeros((3, len(lo), int(hi.max()) + 1, parts.shape[2]))
-        planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = parts.swapaxes(0, 1)
+        cells = values if values.imag.any() else values.real
+        planes = np.zeros((3, len(lo), int(hi.max()) + 1), dtype=cells.dtype)
+        planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = cells.T
         self._hold(sublattice, t, x0, c, lo, hi, planes, ys)
         xy.setflags(write=False)
         values.setflags(write=False)
@@ -136,7 +136,7 @@ class WaveFunction:
         i, k = np.nonzero(inside)
         x = i + self._x0
         xy = np.stack([x, x + 2 * k + self._c], axis=1)
-        values = _complex(np.ascontiguousarray(_cells(self._planes)[:, inside].T))
+        values = np.ascontiguousarray(self._planes[:, inside].T, dtype=np.complex128)
         xy.setflags(write=False)
         values.setflags(write=False)
         return xy, values
@@ -157,11 +157,12 @@ class WaveFunction:
         i, v = site.x - self._x0, site.y - site.x - self._c
         if site.sub == self.sublattice and 0 <= i < len(self._lo) and v % 2 == 0 \
                 and int(self._lo[i]) <= v // 2 <= int(self._hi[i]):
-            return _complex(_cells(self._planes)[:, i, v // 2].copy())
+            return self._planes[:, i, v // 2].astype(np.complex128)
         return np.zeros(3, dtype=np.complex128)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
+        """Sum of |amplitude|**2 over the block: cells outside the runs are +0."""
+        return float(np.vdot(self._planes, self._planes).real)
 
 
 @dataclass(frozen=True)
@@ -179,20 +180,23 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
 
     Component ``j`` of the mixed amplitude at each site moves to the
     neighbour along coin direction ``j``.  The real coin mixes the block's
-    three component planes, both parts at once, in one float64 product per
-    chunk of columns, and each mixed plane is copied, shifted by its hop,
-    into a block one column and one u wider; a column's output run is the
-    union of the runs its hops carry there.  Every table is a state a walk
-    reaches, so ``step`` cannot refuse ``wf``; only an output past 2**59 in
-    size raises ValueError.  The total norm is kept up to the rounding of
-    the coin multiply (well below 1e-12 per step).
+    three component planes in one product per chunk of columns on their
+    float64 view, so a complex block's two parts mix at once, and each
+    mixed plane is copied, shifted by its hop, into a block one column and
+    one u wider; a column's output run is the union of the runs its hops
+    carry there.  Every table is a state a walk reaches, so ``step`` cannot
+    refuse ``wf``; only an output past 2**59 in size raises ValueError.  The
+    total norm is kept up to the rounding of the coin multiply (well below
+    1e-12 per step).
     """
-    _, n, nu, p = wf._planes.shape
+    _, n, nu = wf._planes.shape
+    # Float64 items per cell: 1 for a real block, 2 for a complex one.
+    p = wf._planes.itemsize // 8
     hops = HOPS[wf.sublattice]
     shift = min(dx for dx, _ in hops)
     # Where hop j puts input cell (0, 0) in the output block.
     offsets = [(dx - shift, (dy - dx + 1) // 2) for dx, dy in hops]
-    planes = np.zeros((3, n + 1, nu + 1, p))
+    planes = np.zeros((3, n + 1, nu + 1), dtype=wf._planes.dtype)
     # A product of one column goes through BLAS's gemv, which rounds otherwise
     # than the gemm of wider ones.  So a chunk holds at least two values per
     # component, two columns of a real block of one u, and the last chunk takes
@@ -202,8 +206,9 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     mixed_rows = _aligned_rows(3, min(2 * width - 1, n) * nu * p)
     for a, b in zip(starts, [*starts[1:], n]):
         chunk = wf._planes[:, a:b]
-        out = mixed_rows[:, :chunk[0].size]
-        mixed = np.matmul(coin, chunk.reshape(3, -1), out=out).reshape(chunk.shape)
+        reals = chunk.view(np.float64).reshape(3, -1)
+        mixed = np.matmul(coin, reals, out=mixed_rows[:, :reals.shape[1]])
+        mixed = mixed.view(planes.dtype).reshape(chunk.shape)
         for j, (i, k) in enumerate(offsets):
             # Adding +0 copies each amplitude and turns the -0 that some coins
             # mix from the zero cells outside the runs into +0.
@@ -260,22 +265,6 @@ def _aligned_rows(rows: int, columns: int) -> np.ndarray:
     return raw[start:start + rows * stride].reshape(rows, stride)[:, :columns]
 
 
-def _cells(planes: np.ndarray) -> np.ndarray:
-    """The (3, columns, u) cells of ``planes``, each cell's parts one item.
-
-    A mask or an index over the cells then moves each cell whole: broadcast
-    over the trailing parts axis instead, it is several times slower.
-    """
-    return planes.view(np.dtype((np.void, 8 * planes.shape[3])))[..., 0]
-
-
-def _complex(cells: np.ndarray) -> np.ndarray:
-    """The complex128 amplitudes of contiguous ``cells``: two parts in place, one part copied."""
-    if cells.itemsize == 16:
-        return cells.view(np.complex128)
-    return cells.view(np.float64).astype(np.complex128)
-
-
 def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     """The A-sites of ``wf`` at most ``r`` hops from A(0, 0), for even ``r``.
 
@@ -295,8 +284,8 @@ def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     k = np.arange(k0, k1)
     inside = (lo[:, None] <= k) & (k <= hi[:, None])
     box = wf._planes[:, cols, k0:k1]
-    planes = np.zeros(box.shape)
-    np.copyto(_cells(planes), _cells(box), where=inside)
+    planes = np.zeros(box.shape, dtype=box.dtype)
+    np.copyto(planes, box, where=inside)
     return WaveFunction._block("A", wf.t, -h, wf._c + 2 * k0, lo - k0, hi - k0, planes, (-r, r))
 
 

@@ -44,8 +44,8 @@ WALKS = [
 # Rational coins, c = (1 - 2m^2)/(1 + 2m^2) with m = 1 the Grover coin, from
 # rational states, each given as the real and imaginary parts of its triple.
 # The coin is real, so a walk is the walks of its two parts, and the exact
-# oracle carries each in integers.  Real states step a block of one part,
-# the complex state (3/5, 0, 4i/5) a block of two.
+# oracle carries each in integers.  Real states step a float64 block, the
+# complex state (3/5, 0, 4i/5) a complex128 one.
 NO_IMAGINARY_PART = (0, 0, 0)
 COMPLEX_STATE = ((Fraction(3, 5), 0, 0), (0, 0, Fraction(4, 5)))
 REAL_EXACT_WALKS = {
@@ -302,7 +302,7 @@ class TestStep:
         coin = build_coin(CoinParams(1.1))
         values = np.random.default_rng(0).uniform(-0.5, 0.5, (n, 3))
         wf = WaveFunction("A", [[x, x] for x in range(n)], values, 0)
-        assert wf._planes.shape == (3, n, 1, 1)
+        assert wf._planes.shape == (3, n, 1) and wf._planes.dtype == np.float64
         ref_xy, ref_values = row_step(wf, coin)
         stepped = step(wf, coin)
         assert stepped.xy.tobytes() == ref_xy.tobytes()
@@ -312,9 +312,9 @@ class TestStep:
     @pytest.mark.parametrize("far", [2**59, 2**60 + 2, 2**62, 2**63 - 1, -2**59, -2**63],
                              ids=["2**59", "2**60+2", "2**62", "2**63-1", "-2**59", "-2**63"])
     def test_coordinates_past_the_pads_rejected(self, grover_coin, axis, far):
-        # the run merge pads the column ends at 2**60, so a table admits sites
-        # of size at most 2**59, and a step out of that range is refused
-        # rather than stepped to wrong rows
+        # a table admits sites of size at most 2**59, so that every
+        # coordinate, shear offset and run end fits in int64, and a step out
+        # of that range is refused rather than stepped to wrong rows
         site = [0, 0]
         site[axis] = far
         values = [[1.0, 0.5j, -0.25]]
@@ -375,12 +375,12 @@ class TestSupport:
 
 
 def assert_block_invariants(wf, state):
-    # the block holds both parts of a complex state and the real part alone of
-    # a real one, cells outside the runs are exactly +0, the block is about
-    # 4/3 of the rows, and a site one past either end of a run reads zeros
+    # the block is complex128 for a complex state and float64 for a real one,
+    # cells outside the runs are exactly +0, the block is about 4/3 of the
+    # rows, and a site one past either end of a run reads zeros
     planes, lo, hi = wf._planes, wf._lo, wf._hi
-    _, columns, extent, parts = planes.shape
-    assert parts == (2 if state.as_array().imag.any() else 1)
+    _, columns, extent = planes.shape
+    assert planes.dtype == (np.complex128 if state.as_array().imag.any() else np.float64)
     k = np.arange(extent)
     outside = planes[:, (k < lo[:, None]) | (k > hi[:, None])]
     assert outside.tobytes() == bytes(outside.nbytes)
@@ -420,6 +420,26 @@ class TestBlock:
         monkeypatch.setattr(hexwalk.evolution, "_crop", checked_crop)
         list(origin_amplitudes(state, 60, build_coin(params)))
         assert crops == list(range(28, -1, -2))
+
+    @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
+    def test_norm_squared_builds_no_rows(self, walk):
+        params, state = REFEREE_WALKS[walk]
+        wf = evolve(state, 60, build_coin(params))
+        norm = wf.norm_squared()
+        assert "_rows" not in vars(wf)
+        assert abs(norm - float(np.sum(np.abs(wf.values) ** 2))) <= 1e-14
+
+    @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
+    def test_amplitude_is_a_fresh_complex_triple(self, walk):
+        # a write into the result leaves the block as it was
+        params, state = REFEREE_WALKS[walk]
+        wf = evolve(state, 4, build_coin(params))
+        origin = Site.a(0, 0)
+        amp = wf.amplitude(origin)
+        assert amp.dtype == np.complex128 and amp.shape == (3,) and amp.flags.writeable
+        before = amp.tobytes()
+        amp[:] = 7
+        assert wf.amplitude(origin).tobytes() == before
 
 
 class TestDistribution:
@@ -581,7 +601,7 @@ class TestExactWalk:
             assert abs(p - exact_origin_probability(walk[t])) <= t * self.ULP, t
 
     def test_an_imaginary_state_returns_like_its_real_one(self, grover_coin):
-        # i (0, 1, 0) steps a block of two parts and (0, 1, 0) one of one part
+        # i (0, 1, 0) steps a complex128 block and (0, 1, 0) a float64 one
         real, imaginary = (return_series(CoinState(0, b, 0), EXACT_T, grover_coin)
                            for b in (1, 1j))
         assert [t for t, _ in real] == [t for t, _ in imaginary]
