@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -452,6 +453,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# One parser per process: building it costs more than parsing a command line.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hexwalk",

@@ -35,11 +35,13 @@ from the input's in O(columns); it refuses nothing but an output past
 2**59.  Each (site, component) pair receives exactly one contribution, so
 values are copied, never summed.
 
-``xy`` and ``values`` are built from the block on first read and then
-cached, 64 bytes per row; ``values`` is complex128 whatever the block's
-dtype.  ``len``, ``amplitude``, ``norm_squared`` and ``step`` need no rows.
-A distribution lays probabilities on the rows of a wave function and checks
-nothing again.
+The block is a table's only state: a table built from rows copies them into
+it and keeps no reference to them.  ``xy`` (16 bytes per row) and ``values``
+(48 bytes per row, complex128 whatever the block's dtype) are each read from
+the block through one mask of the runs on first use, and then cached.
+``len``, ``amplitude``, ``norm_squared`` and ``step`` need neither.  A
+distribution reads its probabilities from the block through the same mask,
+so it builds ``xy`` but no ``values``, and checks nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then crops the block to the A-sites at most ``last - t`` hops
@@ -86,21 +88,29 @@ class WaveFunction:
 
     Built from ``xy``, the (n, 2) integer sites of a state a walk from one
     site reaches (see the module docstring), and ``values``, the matching
-    (n, 3) amplitudes.  The form is checked once, here, and the rows are
-    copied into the block :func:`step` advances, so :func:`step` takes any
-    wave function; the block is float64 if every imaginary part is 0 and
-    complex128 otherwise.  ``xy`` and ``values`` read the rows back: both
-    are read-only, ``xy`` C-contiguous and ``values`` complex128, in the
-    layout it was given, or C-contiguous when built from the block.
+    (n, 3) finite amplitudes.  The form is checked once, here, and the rows
+    are copied into the block :func:`step` advances, so :func:`step` takes
+    any wave function; the block is float64 if every imaginary part is 0 and
+    complex128 otherwise, and no reference to the given arrays is kept.
+    ``xy`` and ``values`` read the rows back from the block, each on first
+    use: both are read-only and C-contiguous, ``values`` complex128.
     """
 
     def __init__(self, sublattice: Sublattice, xy, values, t: int) -> None:
         if sublattice not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {sublattice!r}")
+        t = operator.index(t)
+        if t < 0:
+            raise ValueError("t must be non-negative")
+        sites = np.asarray(xy)
+        if sites.size and sites.dtype.kind not in "iu":
+            raise TypeError(f"xy must be of an integer dtype, got {sites.dtype}")
         xy = np.ascontiguousarray(xy, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], 3):
             raise ValueError("xy must be (n, 2) and values (n, 3)")
+        if not np.isfinite(values).all():
+            raise ValueError("amplitudes must be finite")
         runs = _column_runs(xy)
         if runs is None:
             raise ValueError(_PAST_LIMIT)
@@ -113,9 +123,6 @@ class WaveFunction:
         planes = np.zeros((3, len(lo), int(hi.max()) + 1), dtype=cells.dtype)
         planes[:, xy[:, 0] - x0, (xy[:, 1] - xy[:, 0] - c) // 2] = cells.T
         self._hold(sublattice, t, x0, c, lo, hi, planes, ys)
-        xy.setflags(write=False)
-        values.setflags(write=False)
-        self._rows = xy, values
 
     @classmethod
     def _block(cls, *block) -> WaveFunction:
@@ -130,24 +137,19 @@ class WaveFunction:
         self._ys = ys
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        k = np.arange(self._planes.shape[2])
-        inside = (self._lo[:, None] <= k) & (k <= self._hi[:, None])
-        i, k = np.nonzero(inside)
+    def xy(self) -> np.ndarray:
+        i, k = np.nonzero(_inside(self._lo, self._hi, self._planes.shape[2]))
         x = i + self._x0
         xy = np.stack([x, x + 2 * k + self._c], axis=1)
-        values = np.ascontiguousarray(self._planes[:, inside].T, dtype=np.complex128)
         xy.setflags(write=False)
-        values.setflags(write=False)
-        return xy, values
+        return xy
 
-    @property
-    def xy(self) -> np.ndarray:
-        return self._rows[0]
-
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return self._rows[1]
+        cells = self._planes[:, _inside(self._lo, self._hi, self._planes.shape[2])]
+        values = np.ascontiguousarray(cells.T, dtype=np.complex128)
+        values.setflags(write=False)
+        return values
 
     def __len__(self) -> int:
         return int((self._hi - self._lo).sum()) + len(self._lo)
@@ -252,6 +254,12 @@ def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     return x0, lo, hi
 
 
+def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """The (columns, width) mask of the cells whose k lies in their column's run."""
+    k = np.arange(width)
+    return (lo[:, None] <= k) & (k <= hi[:, None])
+
+
 def _aligned_rows(rows: int, columns: int) -> np.ndarray:
     """An uninitialized (rows, columns) float64 array whose rows start on 64-byte lines.
 
@@ -281,11 +289,7 @@ def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     lo = np.maximum(wf._lo[cols], (-reach - x - wf._c) // 2)
     hi = np.minimum(wf._hi[cols], (reach - x - wf._c) // 2)
     k0, k1 = int(lo.min()), int(hi.max()) + 1
-    k = np.arange(k0, k1)
-    inside = (lo[:, None] <= k) & (k <= hi[:, None])
-    box = wf._planes[:, cols, k0:k1]
-    planes = np.zeros(box.shape, dtype=box.dtype)
-    np.copyto(planes, box, where=inside)
+    planes = np.where(_inside(lo - k0, hi - k0, k1 - k0), wf._planes[:, cols, k0:k1], 0)
     return WaveFunction._block("A", wf.t, -h, wf._c + 2 * k0, lo - k0, hi - k0, planes, (-r, r))
 
 
@@ -300,9 +304,12 @@ def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
 
 
 def distribution(wf: WaveFunction) -> Distribution:
-    """Per-site probabilities: the squared amplitude norm on each row ``wf`` holds."""
-    probs = np.einsum("ij,ij->i", wf.values.real, wf.values.real) \
-        + np.einsum("ij,ij->i", wf.values.imag, wf.values.imag)
+    """Per-site probabilities, read from the block: ``wf.xy`` is built, ``wf.values`` is not."""
+    cells = wf._planes[:, _inside(wf._lo, wf._hi, wf._planes.shape[2])]
+    re, im = cells.real, cells.imag
+    # Summed in this order on every layout; einsum's order depends on the strides.
+    probs = (re[0] * re[0] + re[1] * re[1] + re[2] * re[2]) \
+        + (im[0] * im[0] + im[1] * im[1] + im[2] * im[2])
     return Distribution(wf.sublattice, wf.xy, probs, wf.t)
 
 

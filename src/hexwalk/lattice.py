@@ -14,6 +14,7 @@ half-integer physical coordinates are derived output only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import sqrt
 from typing import Literal
@@ -36,7 +37,8 @@ HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
 class Site:
     """A lattice vertex: sublattice tag plus integer indices.
 
-    Ordering is lexicographic in (sub, x, y).
+    ``x`` and ``y`` go through ``operator.index``, so a float raises
+    TypeError.  Ordering is lexicographic in (sub, x, y).
     """
 
     sub: Sublattice
@@ -46,6 +48,8 @@ class Site:
     def __post_init__(self) -> None:
         if self.sub not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {self.sub!r}")
+        object.__setattr__(self, "x", operator.index(self.x))
+        object.__setattr__(self, "y", operator.index(self.y))
 
     @classmethod
     def a(cls, x: int, y: int) -> "Site":

@@ -65,6 +65,9 @@ REFEREE_WALKS = {
     "theta=1.1": (CoinParams(1.1), CoinState(0.6, 0.0, 0.8j)),
 }
 
+# The walk of tests/golden/complex_state.json.
+COMPLEX_STATE_WALK = (CoinParams(2.2), CoinState(0.6, 0.48j, complex(0, -0.64)))
+
 
 @pytest.fixture(scope="module", params=list(EXACT_WALKS))
 def exact(request):
@@ -231,14 +234,13 @@ class TestStep:
             wf.values[0, 0] = 0.0
 
     def test_input_layout_does_not_change_the_step(self):
-        # a hand-built table keeps the layout of the values it was given
+        # C- and Fortran-ordered values build the same block
         coin = build_coin(CoinParams(4.0))
         wf = evolve(CoinState(0.48 + 0.6j, 0.64, 0.0), 9, coin)
         tables = [
             WaveFunction(wf.sublattice, wf.xy, layout(wf.values), wf.t)
             for layout in (np.ascontiguousarray, np.asfortranarray)
         ]
-        assert tables[0].values.flags.c_contiguous and tables[1].values.flags.f_contiguous
         stepped = [step(table, coin) for table in tables]
         for table in tables + stepped:
             assert not table.values.flags.writeable
@@ -330,6 +332,24 @@ class TestStep:
     def test_empty_wavefunction_rejected(self):
         with pytest.raises(ValueError, match="no walk from one site reaches"):
             WaveFunction("A", np.zeros((0, 2)), np.zeros((0, 3)), 0)
+
+    @pytest.mark.parametrize("xy", [[[0.5, 0]], [[0.0, 0]], np.zeros((1, 2)), [[True, False]]],
+                             ids=["half", "whole-float", "float-array", "bool"])
+    def test_non_integer_sites_rejected(self, xy):
+        with pytest.raises(TypeError, match="integer dtype"):
+            WaveFunction("A", xy, [[1, 0, 0]], 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imaginary"])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            WaveFunction("A", [[0, 0]], [[1, bad, 0]], 0)
+
+    @pytest.mark.parametrize("t, error", [(1.0, TypeError), (-1, ValueError)],
+                             ids=["float", "negative"])
+    def test_bad_time_rejected(self, t, error):
+        with pytest.raises(error):
+            WaveFunction("A", [[0, 0]], [[1, 0, 0]], t)
 
 
 class TestSupport:
@@ -426,7 +446,7 @@ class TestBlock:
         params, state = REFEREE_WALKS[walk]
         wf = evolve(state, 60, build_coin(params))
         norm = wf.norm_squared()
-        assert "_rows" not in vars(wf)
+        assert "xy" not in vars(wf) and "values" not in vars(wf)
         assert abs(norm - float(np.sum(np.abs(wf.values) ** 2))) <= 1e-14
 
     @pytest.mark.parametrize("walk", list(REFEREE_WALKS))
@@ -441,8 +461,37 @@ class TestBlock:
         amp[:] = 7
         assert wf.amplitude(origin).tobytes() == before
 
+    def test_the_caller_keeps_its_arrays(self):
+        # the table copies the rows into its block and holds no row arrays
+        xy = np.array([[0, 0], [0, 2], [1, 1]])
+        values = np.array([[1, 0, 0], [0, 0.6, 0], [0, 0, 0.8j]])
+        wf = WaveFunction("A", xy, values, 3)
+        assert not {name for name, v in vars(wf).items() if isinstance(v, np.ndarray)} \
+            - {"_lo", "_hi", "_planes"}
+        assert xy.flags.writeable and values.flags.writeable
+        assert wf.xy is not xy and wf.values is not values
+        assert wf.xy.tobytes() == xy.tobytes() and wf.values.tobytes() == values.tobytes()
+        xy[0], values[0] = 9, 9
+        assert wf.xy[0].tolist() == [0, 0] and wf.values[0].tolist() == [1, 0, 0]
+
 
 class TestDistribution:
+    @pytest.mark.parametrize("walk, t", [
+        *((walk, 60) for walk in REFEREE_WALKS),
+        *(("complex_state.json", t) for t in (7, 60, 251)),
+    ])
+    def test_reads_the_block_like_the_rows(self, walk, t):
+        # the probabilities of the planes are, bit for bit, those of the
+        # rows' amplitudes summed by einsum, and the rows' values are not built
+        params, state = REFEREE_WALKS.get(walk, COMPLEX_STATE_WALK)
+        wf = evolve(state, t, build_coin(params))
+        d = distribution(wf)
+        assert "xy" in vars(wf) and "values" not in vars(wf)
+        assert d.xy is wf.xy and (d.sublattice, d.t) == (wf.sublattice, t)
+        rows_probs = np.einsum("ij,ij->i", wf.values.real, wf.values.real) \
+            + np.einsum("ij,ij->i", wf.values.imag, wf.values.imag)
+        assert d.values.tobytes() == rows_probs.tobytes()
+
     def test_initial(self, grover_coin):
         d = distribution(evolve(CoinState(1, 0, 0), 0, grover_coin))
         assert rows(d) == {Site.a(0, 0): 1.0}

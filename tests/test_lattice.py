@@ -22,6 +22,16 @@ class TestSite:
         with pytest.raises(ValueError):
             Site("C", 0, 0)
 
+    @pytest.mark.parametrize("x, y", [(0.5, 0), (0.0, 0), (0, 1.0), (np.float64(2), 0)])
+    def test_float_coordinates_rejected(self, x, y):
+        with pytest.raises(TypeError):
+            Site.a(x, y)
+
+    def test_integer_coordinates_become_ints(self):
+        site = Site.b(np.int64(3), np.int32(-1))
+        assert type(site.x) is int and type(site.y) is int
+        assert site == Site.b(3, -1)
+
     def test_canonical_ordering(self):
         assert Site.a(0, 0) < Site.a(0, 1) < Site.a(1, -5) < Site.b(-9, 0)
 
