@@ -283,9 +283,9 @@ def _write_table(config: RunConfig, header: dict, columns: dict[str, object]) ->
     rows at a time.
 
     A column is a constant, written into the row template once; a 1-D array,
-    whose cells are formatted a block at a time; or the pair ``(values,
-    index)`` that ``np.unique(..., return_inverse=True)`` returns, whose
-    distinct values are formatted once and picked per row.  The text equals
+    whose cells are formatted a block at a time; or a pair ``(values,
+    index)`` of distinct values and each row's index into them, whose values
+    are formatted once and picked per row.  The text equals
     ``json.dumps({**header, "columns": [...], "rows": [...]}, indent=2)`` and a
     newline, or the header line and one ``str.format`` line per row.
     """
@@ -338,8 +338,8 @@ def cmd_simulate(config: RunConfig) -> int:
     dist = distribution(evolve(state, config.t_max, build_coin(params)))
 
     header = {**_state_header("simulate", params, state), "t": config.t_max}
-    # A coordinate column takes at most 2 t_max + 1 values: each is formatted once.
-    (xs, x_at), (ys, y_at) = (np.unique(c, return_inverse=True) for c in dist.xy.T)
+    # A coordinate column spans at most 2 t_max + 1 values: each is formatted once.
+    (xs, x_at), (ys, y_at) = ((np.arange(c.min(), c.max() + 1), c - c.min()) for c in dist.xy.T)
     if config.indices:
         columns = {"sub": dist.sublattice, "x": (xs, x_at), "y": (ys, y_at), "prob": dist.values}
     else:

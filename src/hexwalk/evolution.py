@@ -33,7 +33,8 @@ mixes the block in one real product on its float64 view, copies each mixed
 plane into a block one column and one u wider, and derives the output runs
 from the input's in O(columns); it refuses nothing but an output past
 2**59.  Each (site, component) pair receives exactly one contribution, so
-values are copied, never summed.
+values are copied, never summed; a zero cell mixes to +0, as numpy's
+float64 product sums from +0, so plain copies keep it +0.
 
 The block is a table's only state: a table built from rows copies them into
 it and keeps no reference to them.  ``xy`` (16 bytes per row) and ``values``
@@ -45,7 +46,7 @@ so it builds ``xy`` but no ``values``, and checks nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then crops the block to the A-sites at most ``last - t`` hops
-out: it slices the block to their box, clips the runs and zeroes the cells
+out: it slices the block to the cone's box and runs, and zeroes the cells
 outside them.  The coin mixes each site alone and the scatter only copies,
 so the stream is the same bit for bit as that of a full evolution.
 """
@@ -105,6 +106,9 @@ class WaveFunction:
         sites = np.asarray(xy)
         if sites.size and sites.dtype.kind not in "iu":
             raise TypeError(f"xy must be of an integer dtype, got {sites.dtype}")
+        # Checked in the given dtype: a uint64 past 2**63 wraps in the int64 cast.
+        if sites.size and int(sites.max()) > _LIMIT:
+            raise ValueError(_PAST_LIMIT)
         xy = np.ascontiguousarray(xy, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
         if xy.ndim != 2 or xy.shape[1] != 2 or values.shape != (xy.shape[0], 3):
@@ -183,13 +187,13 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
     Component ``j`` of the mixed amplitude at each site moves to the
     neighbour along coin direction ``j``.  The real coin mixes the block's
     three component planes in one product per chunk of columns on their
-    float64 view, so a complex block's two parts mix at once, and each
-    mixed plane is copied, shifted by its hop, into a block one column and
-    one u wider; a column's output run is the union of the runs its hops
-    carry there.  Every table is a state a walk reaches, so ``step`` cannot
-    refuse ``wf``; only an output past 2**59 in size raises ValueError.  The
-    total norm is kept up to the rounding of the coin multiply (well below
-    1e-12 per step).
+    float64 view, so a complex block's two parts mix at once, and each mixed
+    plane is copied plainly, shifted by its hop, into a block one column and
+    one u wider: a zero cell mixes to +0, as the float64 product sums from
+    +0.  A column's output run is the union of the runs its hops carry
+    there.  Every table is a state a walk reaches, so ``step`` cannot refuse
+    ``wf``; only an output past 2**59 in size raises ValueError.  The total
+    norm is kept up to the rounding of the coin multiply (below 1e-12 a step).
     """
     _, n, nu = wf._planes.shape
     # Float64 items per cell: 1 for a real block, 2 for a complex one.
@@ -212,9 +216,8 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
         mixed = np.matmul(coin, reals, out=mixed_rows[:, :reals.shape[1]])
         mixed = mixed.view(planes.dtype).reshape(chunk.shape)
         for j, (i, k) in enumerate(offsets):
-            # Adding +0 copies each amplitude and turns the -0 that some coins
-            # mix from the zero cells outside the runs into +0.
-            np.add(mixed[j], 0.0, out=planes[j, a + i:b + i, k:k + nu])
+            # Zero cells mix to +0 (the product sums from +0), so a plain copy keeps them +0.
+            planes[j, a + i:b + i, k:k + nu] = mixed[j]
     # Per hop and output column, the run it carries there: empty (nu + 1 to -1)
     # where the hop brings none, but every output column gets one.
     lo, hi = np.full((3, n + 1), nu + 1), np.full((3, n + 1), -1)
@@ -277,17 +280,16 @@ def _crop(wf: WaveFunction, r: int) -> WaveFunction:
     """The A-sites of ``wf`` at most ``r`` hops from A(0, 0), for even ``r``.
 
     ``wf`` is the A-state of a walk from A(0, 0) at an even time past ``r``,
-    so its block covers them all.  A(x, y) is max(2|x|, |x| + |y|) hops out:
-    the kept columns are |x| <= r/2, each with |y| <= r - |x|, so y spans
-    -r to r.  The block is sliced to their box and copied, so the larger
-    parent is not kept alive.
+    so its runs cover them all and the kept runs are the cone's.  A(x, y) is
+    max(2|x|, |x| + |y|) hops out: the kept columns are |x| <= r/2, each with
+    |y| <= r - |x|, so y spans -r to r.  The block is sliced to their box and
+    copied, so the larger parent is not kept alive.
     """
     h = r // 2
     x = np.arange(-h, h + 1)
     cols = slice(-h - wf._x0, h + 1 - wf._x0)
     reach = r - np.abs(x)
-    lo = np.maximum(wf._lo[cols], (-reach - x - wf._c) // 2)
-    hi = np.minimum(wf._hi[cols], (reach - x - wf._c) // 2)
+    lo, hi = (-reach - x - wf._c) // 2, (reach - x - wf._c) // 2
     k0, k1 = int(lo.min()), int(hi.max()) + 1
     planes = np.where(_inside(lo - k0, hi - k0, k1 - k0), wf._planes[:, cols, k0:k1], 0)
     return WaveFunction._block("A", wf.t, -h, wf._c + 2 * k0, lo - k0, hi - k0, planes, (-r, r))

@@ -116,6 +116,11 @@ _GOLDEN_ROWS = (
     _golden("simulate_csv_indices", "simulate", *_COMPLEX, "--indices"),
     _golden("simulate_json", "simulate", *_COMPLEX, "--format", "json"),
     _golden("simulate_json_indices", "simulate", *_COMPLEX, "--format", "json", "--indices"),
+    # a real state steps a float64 block
+    _golden("simulate_csv_real", "simulate", *GROVER_BETA, "--t-max", "6"),
+    # at t_max 0 each coordinate column holds one value
+    _golden("simulate_json_indices_t0", "simulate", *GROVER_BETA, "--t-max", "0",
+            "--format", "json", "--indices"),
     _golden("return_series_csv", *_RETURN_SERIES, "--t-max", "40"),
     # an odd t_max ends the series at the last even time
     _golden("return_series_csv_t_max_odd", *_RETURN_SERIES, "--t-max", "41",

@@ -278,7 +278,8 @@ def _column(kind, cells):
     array = np.array(cells, dtype=np.float64 if kind == "prob" else np.int64)
     if kind in ("t", "prob"):
         return array, cells
-    values, index = np.unique(array, return_inverse=True)  # as simulate builds coordinates
+    # distinct values and each row's index into them: simulate's are offsets from the least
+    values, index = np.unique(array, return_inverse=True)
     if kind == "px":
         return (1.5 * values, index), [1.5 * c for c in cells]
     return (values, index), cells

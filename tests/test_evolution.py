@@ -59,10 +59,14 @@ EXACT_WALKS = {
 }
 EXACT_T = 40
 
-# The walks the block stepper must step bit for bit like the row stepper.
+# The walks the block stepper must step bit for bit like the row stepper.  At
+# theta = 4 every entry of coin row 1 is negative, and the zero cells must
+# still mix to +0.
 REFEREE_WALKS = {
     "grover-beta": (CoinParams.grover(), BETA_STATE),
     "theta=1.1": (CoinParams(1.1), CoinState(0.6, 0.0, 0.8j)),
+    "theta=4-complex": (CoinParams(4.0), CoinState(0.48 + 0.6j, 0.64, 0.0)),
+    "theta=4-real": (CoinParams(4.0), CoinState(0.6, 0.0, 0.8)),
 }
 
 # The walk of tests/golden/complex_state.json.
@@ -247,13 +251,13 @@ class TestStep:
         assert stepped[0].xy.tobytes() == stepped[1].xy.tobytes()
         assert stepped[0].values.tobytes() == stepped[1].values.tobytes()
 
-    @given(state=column_states(), theta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1),
-           real=st.booleans())
+    @given(state=column_states(), theta=st.floats(0.1, 3.0) | st.floats(3.3, 6.2),
+           seed=st.integers(0, 2**32 - 1), real=st.booleans())
     def test_column_runs_step_like_the_window_merge(self, state, theta, seed, real):
         # a state in the form, real or complex, steps to the union of its hop
         # targets with the reference values, the rows and values a merge of
-        # the three hop windows gives; no walk from one site reaches any other
-        # state, and no table holds one
+        # the three hop windows gives, with sin(theta) of either sign; no walk
+        # from one site reaches any other state, and no table holds one
         sub, xy, in_form = state
         rng = np.random.default_rng(seed)
         shape = (len(xy), 3)
@@ -328,6 +332,24 @@ class TestStep:
         wf = WaveFunction("B" if site[0] > 0 else "A", [site], values, 0)
         with pytest.raises(ValueError, match=r"past 2\*\*59"):
             step(wf, grover_coin)
+
+    @pytest.mark.parametrize("far", [2**64 - 1, 2**63, 2**59 + 1],
+                             ids=["2**64-1", "2**63", "2**59+1"])
+    def test_unsigned_coordinates_past_the_pads_rejected(self, far):
+        # a uint64 coordinate is checked before it is cast to int64, where
+        # one past 2**63 would wrap to a negative one
+        with pytest.raises(ValueError, match=r"past 2\*\*59"):
+            WaveFunction("A", np.array([[far, 0]], dtype=np.uint64), [[1, 0, 0]], 0)
+
+    def test_unsigned_coordinates_build_their_signed_twin(self, grover_coin):
+        # a small uint64 table is its int64 twin, and steps like it
+        xy = [[0, 0], [0, 2], [1, 1], [1, 3]]
+        values = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3))
+        unsigned, signed = (WaveFunction("A", np.array(xy, dtype=dtype), values, 0)
+                            for dtype in (np.uint64, np.int64))
+        for a, b in ((unsigned, signed), (step(unsigned, grover_coin), step(signed, grover_coin))):
+            assert a.xy.tobytes() == b.xy.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_empty_wavefunction_rejected(self):
         with pytest.raises(ValueError, match="no walk from one site reaches"):
