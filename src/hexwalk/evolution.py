@@ -12,8 +12,8 @@ columns consecutive, each column one progression y, y + 2, ..., one parity
 of x + y in every row, and the y ranges of neighbouring columns overlapping
 to within 3.  One site is in the form, and each hop moves a column as a
 whole, so the parity and overlap rules make each output column one
-progression again.  The form, with coordinates of size at most 2**59, is
-checked once, when a wave function is built from rows.
+progression again.  A wave function built from rows checks their range,
+2**59 in size, before the int64 cast, and then their form, once.
 
 The state is one block of (3, columns, u) planes in sheared coordinates:
 cell (i, k) holds the site x = x0 + i, y = x + 2k + c, so a walk from
@@ -41,8 +41,8 @@ it and keeps no reference to them.  ``xy`` (16 bytes per row) and ``values``
 (48 bytes per row, complex128 whatever the block's dtype) are each read from
 the block through one mask of the runs on first use, and then cached.
 ``len``, ``amplitude``, ``norm_squared`` and ``step`` need neither.  A
-distribution reads its probabilities from the block through the same mask,
-so it builds ``xy`` but no ``values``, and checks nothing again.
+distribution sums the squares of the block's parts and reads them through the
+same mask, so it builds ``xy`` but no ``values``, and checks nothing again.
 
 The origin stream takes two steps per even time t up to the last one,
 ``last``, and then crops the block to the A-sites at most ``last - t`` hops
@@ -53,7 +53,6 @@ so the stream is the same bit for bit as that of a full evolution.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .coin import CoinState
-from .lattice import HOPS, Site, Sublattice
+from .lattice import _LIMIT, HOPS, Site, Sublattice, _count
 
 __all__ = [
     "WaveFunction",
@@ -73,9 +72,6 @@ __all__ = [
     "return_series",
 ]
 
-# The largest site coordinate a table admits: every coordinate, shear offset
-# and run end of a table then fits in int64.
-_LIMIT = 2**59
 _PAST_LIMIT = "no walk from one site reaches these rows, or one is past 2**59"
 # A step mixes the block in chunks of whole columns of about this many cells
 # (the last chunk up to twice as many), 96 KB of mixed amplitudes for a real
@@ -100,14 +96,12 @@ class WaveFunction:
     def __init__(self, sublattice: Sublattice, xy, values, t: int) -> None:
         if sublattice not in HOPS:
             raise ValueError(f"sublattice tag must be 'A' or 'B', got {sublattice!r}")
-        t = operator.index(t)
-        if t < 0:
-            raise ValueError("t must be non-negative")
+        t = _count(t, "t")
         sites = np.asarray(xy)
         if sites.size and sites.dtype.kind not in "iu":
             raise TypeError(f"xy must be of an integer dtype, got {sites.dtype}")
-        # Checked in the given dtype: a uint64 past 2**63 wraps in the int64 cast.
-        if sites.size and int(sites.max()) > _LIMIT:
+        # Checked before the int64 cast, where a uint64 past 2**63 wraps; no walk reaches no rows.
+        if not (sites.size and -_LIMIT <= int(sites.min()) <= int(sites.max()) <= _LIMIT):
             raise ValueError(_PAST_LIMIT)
         xy = np.ascontiguousarray(xy, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128)
@@ -232,10 +226,9 @@ def step(wf: WaveFunction, coin: np.ndarray) -> WaveFunction:
 
 
 def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``(first x, column lows, column highs)`` if ``xy`` is in column-run form, else None."""
+    """``(first x, column lows, column highs)`` if the rows ``xy`` are in column-run form, else
+    None: the form only, as their range is checked before the int64 cast, so nothing wraps."""
     n = len(xy)
-    if not n:
-        return None
     # Each row continues its column 2 higher or opens the next one.
     dx, dy = np.diff(xy[:, 0]), np.diff(xy[:, 1])
     opens = dx == 1
@@ -244,17 +237,11 @@ def _column_runs(xy: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:
     starts = np.flatnonzero(opens) + 1
     lo = xy[np.concatenate(([0], starts)), 1]
     hi = xy[np.concatenate((starts - 1, [n - 1])), 1]
-    x0 = int(xy[0, 0])
-    # int64 differences wrap, but int64 values are distinct mod 2**64: from a
-    # first row in bounds, each row is exactly one such move, so the last x and
-    # the column ends bound every row.  Columns share the parity of x + y when
-    # their lows differ by an odd step.
-    if not (-_LIMIT <= x0 and x0 + len(lo) - 1 <= _LIMIT
-            and lo.min() >= -_LIMIT and hi.max() <= _LIMIT
-            and ((lo[1:] - lo[:-1]) & 1).all()
+    # Columns share the parity of x + y when their lows differ by an odd step.
+    if not (((lo[1:] - lo[:-1]) & 1).all()
             and (np.maximum(lo[1:] - hi[:-1], lo[:-1] - hi[1:]) <= 3).all()):
         return None
-    return x0, lo, hi
+    return int(xy[0, 0]), lo, hi
 
 
 def _inside(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
@@ -297,8 +284,7 @@ def _crop(wf: WaveFunction, r: int) -> WaveFunction:
 
 def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
     """Run ``t`` steps from A(0, 0) with coin state ``state``; ``t = 0`` is the walk's start."""
-    if t < 0:
-        raise ValueError("step count must be non-negative")
+    t = _count(t, "step count")
     wf = WaveFunction("A", np.zeros((1, 2), dtype=np.int64), state.as_array().reshape(1, 3), 0)
     for _ in range(t):
         wf = step(wf, coin)
@@ -307,11 +293,13 @@ def evolve(state: CoinState, t: int, coin: np.ndarray) -> WaveFunction:
 
 def distribution(wf: WaveFunction) -> Distribution:
     """Per-site probabilities, read from the block: ``wf.xy`` is built, ``wf.values`` is not."""
-    cells = wf._planes[:, _inside(wf._lo, wf._hi, wf._planes.shape[2])]
-    re, im = cells.real, cells.imag
-    # Summed in this order on every layout; einsum's order depends on the strides.
-    probs = (re[0] * re[0] + re[1] * re[1] + re[2] * re[2]) \
-        + (im[0] * im[0] + im[1] * im[1] + im[2] * im[2])
+    _, n, nu = wf._planes.shape
+    # The block's (p, 3, columns, u) float64 parts, p = 2 for a complex block: squares summed
+    # in this order on every layout, the real parts before the imaginary ones (einsum's order
+    # depends on the strides), and then read through the runs.
+    q = np.moveaxis(wf._planes.view(np.float64).reshape(3, n, nu, -1), 3, 0)
+    probs = (q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2]).sum(axis=0)
+    probs = probs[_inside(wf._lo, wf._hi, nu)]
     return Distribution(wf.sublattice, wf.xy, probs, wf.t)
 
 
@@ -331,9 +319,7 @@ def origin_amplitudes(
     can never reach the origin again, and every kept amplitude is computed
     exactly as in :func:`evolve`, so the stream is bit for bit the same.
     """
-    t_max = operator.index(t_max)
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
+    t_max = _count(t_max, "t_max")
     last = t_max - t_max % 2
     origin = Site.a(0, 0)
     wf = evolve(state, 0, coin)

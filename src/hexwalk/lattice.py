@@ -32,6 +32,18 @@ SQRT3_HALF = sqrt(3.0) / 2.0
 # same coin index twice returns to the starting site.
 HOPS = {"A": ((0, 1), (-1, 0), (0, -1)), "B": ((0, -1), (1, 0), (0, 1))}
 
+# The largest site coordinate a table admits: every coordinate, shear offset
+# and run end of a table then fits in int64.
+_LIMIT = 2**59
+
+
+def _count(value, name: str) -> int:
+    """A step or step-pair count as an int: a float raises TypeError, a negative ValueError."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return value
+
 
 @dataclass(frozen=True, order=True)
 class Site:

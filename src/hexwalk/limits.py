@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinParams, CoinState
+from .lattice import _LIMIT
 
 __all__ = [
     "QuadratureError",
@@ -175,7 +176,8 @@ def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
     For odd shifts the two sites' poles do not cancel and G itself diverges
     (no such shift arises in the amplitude formulas); a zero shift gives 0.0.
     One table of the distinct sites (|x|, |y|), found through one integer
-    key |x| span + |y| per site, is evaluated on n and 2n nodes, n doubling
+    key (|x| - least |x|) span + |y| per site, which cannot wrap for the
+    nearby sites of one amplitude, is evaluated on n and 2n nodes, n doubling
     from a start that grows with the largest |y| (as cos(b |y|) oscillates),
     until every difference agrees between the two rules; the finer values
     are returned.  z^{|x|} is formed by binary powering over the distinct
@@ -184,12 +186,16 @@ def _differences(terms: np.ndarray, params: CoinParams) -> np.ndarray:
     """
     ends = np.abs(np.concatenate([terms[:, :2], terms[:, :2] - terms[:, 2:]]))
     span = int(ends[:, 1].max()) + 1
-    keys, where = np.unique(ends[:, 0] * span + ends[:, 1], return_inverse=True)
+    n = 8 * (span - 1) + 32
+    if n > _MAX_NODES:
+        raise QuadratureError(f"G differences at |y| = {span - 1} need over {_MAX_NODES} nodes")
+    least = int(ends[:, 0].min())
+    keys, where = np.unique((ends[:, 0] - least) * span + ends[:, 1], return_inverse=True)
     where = where.reshape(2, -1)
     ax, ay = np.divmod(keys, span)
+    ax += least
     odd = ((ax + ay) % 2 == 1)[:, None]
     bits = (ax[:, None] >> np.arange(int(ax.max()).bit_length())) & 1 == 1
-    n = 8 * (span - 1) + 32
     coarse = None
     while n <= _MAX_NODES:
         b, z, w = _kernel(params, n)
@@ -220,9 +226,12 @@ def asymptotic_amplitude(
     flat-band projection that the walk settles onto, which simulations
     approach with a decaying oscillation.
 
-    A non-integer site raises TypeError; quadrature failures propagate as :class:`QuadratureError`.
+    A non-integer site raises TypeError, and a coordinate past 2**59 ValueError;
+    quadrature failures propagate as :class:`QuadratureError`.
     """
     x, y = operator.index(x), operator.index(y)
+    if max(abs(x), abs(y)) > _LIMIT:
+        raise ValueError(f"site coordinates must be at most 2**59 in size, got ({x}, {y})")
     c, s = params.c, params.s
     al, be, ga = state.alpha, state.beta, state.gamma
     w_ag = -s * al + s * ga

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinParams, CoinState
+from .lattice import _count
 
 __all__ = [
     "Momentum",
@@ -163,9 +164,7 @@ def fourier_evolve(
     with pure phase exponentiation, so the norm is preserved to machine
     precision for any ``t`` (including e.g. 10**6 pairs).
     """
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError("step-pair count must be non-negative")
+    t = _count(t, "step-pair count")
     v = state.as_array()
     if t == 0:
         return v
@@ -193,11 +192,10 @@ def inverse_transform_site(
     on a 96 x 96 grid one call takes 5-9 ms on one core.  The grid sum runs
     in a fixed order, so repeated calls are bit-identical.
     """
+    t = _count(t, "step-pair count")
     x, y, grid_n = operator.index(x), operator.index(y), operator.index(grid_n)
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
-    if t < 0:
-        raise ValueError("step-pair count must be non-negative")
     grid = (np.arange(grid_n) - grid_n // 2) * (math.tau / grid_n)
     a, b = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     psi = _power(np.repeat(state.as_array()[:, None], a.size, axis=1), t, a, b, coin)

@@ -253,11 +253,11 @@ class TestStep:
 
     @given(state=column_states(), theta=st.floats(0.1, 3.0) | st.floats(3.3, 6.2),
            seed=st.integers(0, 2**32 - 1), real=st.booleans())
-    def test_column_runs_step_like_the_window_merge(self, state, theta, seed, real):
-        # a state in the form, real or complex, steps to the union of its hop
-        # targets with the reference values, the rows and values a merge of
-        # the three hop windows gives, with sin(theta) of either sign; no walk
-        # from one site reaches any other state, and no table holds one
+    def test_column_run_states_step_like_row_step(self, state, theta, seed, real):
+        # a hand-built state in the form, real or complex, steps to the union of
+        # its hop targets with the reference values, and to the rows and values
+        # of row_step bit for bit, with sin(theta) of either sign; no walk from
+        # one site reaches any other state, and no table holds one
         sub, xy, in_form = state
         rng = np.random.default_rng(seed)
         shape = (len(xy), 3)

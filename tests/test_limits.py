@@ -223,6 +223,25 @@ class TestGDifference:
         with pytest.raises(QuadratureError):
             g_table(0, 24, 0, 2, grover_params)
 
+    def test_far_sites_keep_their_keys(self, grover_params, monkeypatch):
+        # with z = 1 a site's reduced integrand is cos(b |y|) - 1 whatever its
+        # |x|, so a difference shows the |y| the table decoded for each end; at
+        # |x| = 2**59 a key |x| span + |y| wraps int64 and decodes another |y|
+        kernel = hexwalk.limits._kernel
+
+        def flat_kernel(params, n):
+            b, z, w = kernel(params, n)
+            return b, np.ones_like(z), w
+
+        monkeypatch.setattr(hexwalk.limits, "_kernel", flat_kernel)
+        # the starting rule of |y| = 102, which the certified value agrees with,
+        # and which the amplitude at (2**59, 100) below builds too
+        b, _, w = kernel(grover_params, 8 * 102 + 32)
+        expected = float((np.cos(102 * b) - np.cos(100 * b)) @ w)
+        for x in (2**59, -2**59):
+            value = g_table(x, 102, 0, 2, grover_params)
+            assert abs(value - expected) <= 1e-12 + 1e-10 * abs(value)
+
 
 class TestAsymptoticAmplitude:
     def test_origin_matches_closed_form(self):
@@ -233,6 +252,22 @@ class TestAsymptoticAmplitude:
             via_integrals = asymptotic_amplitude(0, 0, params, state)
             closed = asymptotic_origin_amplitude(params, state).as_array()
             np.testing.assert_allclose(via_integrals, closed, atol=1e-8)
+
+    @pytest.mark.parametrize("site", [(2**63 - 1, 0), (-2**63, 0), (2**59 + 1, 0),
+                                      (0, -2**59 - 1)],
+                             ids=["2**63-1", "-2**63", "2**59+1", "y=-2**59-1"])
+    def test_sites_past_the_table_bound_rejected(self, grover_params, site):
+        # a site coordinate is bounded by 2**59, as in a wave function's rows
+        with pytest.raises(ValueError, match=r"at most 2\*\*59"):
+            asymptotic_amplitude(*site, grover_params, CoinState.uniform())
+
+    def test_far_sites_admitted(self, grover_params):
+        # |x| = 2**59 is admitted and its nine differences certified; |y| = 2**59
+        # is admitted too, but its rule would need more nodes than the budget
+        amp = asymptotic_amplitude(2**59, 100, grover_params, CoinState(0.6, 0, 0.8))
+        assert np.all(np.abs(amp) < 1e-12)
+        with pytest.raises(QuadratureError):
+            asymptotic_amplitude(0, 2**59, grover_params, CoinState.uniform())
 
     def test_delocalizing_state_zero_at_origin(self, grover_params):
         amp = asymptotic_amplitude(0, 0, grover_params, CoinState.uniform())

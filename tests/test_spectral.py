@@ -12,6 +12,7 @@ from hexwalk import (
     CoinState,
     Momentum,
     Site,
+    WaveFunction,
     asymptotic_amplitude,
     build_coin,
     eigenphases_closed_form,
@@ -287,6 +288,8 @@ class TestInverseTransform:
 @pytest.mark.parametrize("call, error", [
     (lambda coin: fourier_evolve(CoinState.uniform(), 2.5, Momentum(1, 1), coin), TypeError),
     (lambda coin: fourier_evolve(CoinState.uniform(), 2.0, Momentum(1, 1), coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), 2.0, 0, 0, 16, coin), TypeError),
+    (lambda coin: inverse_transform_site(CoinState.uniform(), -0.5, 0, 0, 16, coin), TypeError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 2.5, coin), TypeError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), 2, 0, 0, 16.0, coin), TypeError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), 1, 0.5, 0, 16, coin), TypeError),
@@ -297,15 +300,27 @@ class TestInverseTransform:
      TypeError),
     (lambda coin: next(origin_amplitudes(CoinState(0, 1, 0), 40.0, coin)), TypeError),
     (lambda coin: return_series(CoinState(0, 1, 0), 4.0, coin), TypeError),
+    (lambda coin: evolve(CoinState.uniform(), -1.5, coin), TypeError),
+    (lambda coin: WaveFunction("A", [[0, 0]], [[1, 0, 0]], 1.0), TypeError),
     (lambda coin: evolve(CoinState.uniform(), -1, coin), ValueError),
     (lambda coin: fourier_evolve(CoinState.uniform(), -1, Momentum(1, 1), coin), ValueError),
     (lambda coin: inverse_transform_site(CoinState.uniform(), -1, 0, 0, 8, coin), ValueError),
-], ids=["t=2.5", "t=2.0", "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan",
+    (lambda coin: next(origin_amplitudes(CoinState(0, 1, 0), -1, coin)), ValueError),
+    (lambda coin: WaveFunction("A", [[0, 0]], [[1, 0, 0]], -1), ValueError),
+], ids=["t=2.5", "t=2.0", "inverse_transform_site-t=2.0", "inverse_transform_site-t=-0.5",
+        "grid_n=2.5", "grid_n=16.0", "x=0.5", "y=0.5", "x=nan",
         "asymptotic_amplitude-x=0.5", "origin_amplitudes-t_max=40.0", "return_series-t_max=4.0",
-        "evolve-t=-1", "fourier_evolve-t=-1", "inverse_transform_site-t=-1"])
-def test_float_counts_rejected(grover_coin, call, error):
-    # as in evolve: a count is a non-negative integer, and U2^2.5, U2^-1 or a 2.5-point
-    # grid is not defined; nor is a site at x = 0.5, which is no lattice site
+        "evolve-t=-1.5", "WaveFunction-t=1.0", "evolve-t=-1", "fourier_evolve-t=-1",
+        "inverse_transform_site-t=-1", "origin_amplitudes-t_max=-1", "WaveFunction-t=-1"])
+def test_float_counts_rejected(grover_coin, call, error, monkeypatch):
+    # every count and site of every entry point: a count is a non-negative integer,
+    # and U2^2.5, U2^-1 or a 2.5-point grid is not defined; nor is a site at
+    # x = 0.5, which is no lattice site.  Each is refused where it arrives, before
+    # any grid is built or any power of U2 taken.
+    def no_power(*args):
+        raise AssertionError("a power of U2 was taken before the inputs were checked")
+
+    monkeypatch.setattr(hexwalk.spectral, "_power", no_power)
     with pytest.raises(error, match="as an integer|must be non-negative"):
         call(grover_coin)
 
